@@ -326,7 +326,8 @@ class ShardExec(PhysicalOperator):
         Otherwise every shard runs in-process on its own thread (the
         ``pool="threads"`` mode), which is also the fallback for EXPLAIN
         ANALYZE (its ``observed`` dict is shared and unserializable by
-        design) and for unpicklable params/seeds.  Stats merges and
+        design) and — counted in the pool's ``local_fallbacks`` — for an
+        unpicklable subplan or params/seeds.  Stats merges and
         histogram drains happen here, sequentially, after the gather —
         shard workers never touch shared instruments.
         """
@@ -341,7 +342,8 @@ class ShardExec(PhysicalOperator):
                 pickle.dumps((params, seed), PICKLE_PROTOCOL)
             except Exception:
                 wire = None  # this execution's bindings can't cross over
-        if wire is None:
+        if remote is not None and wire is None:
+            remote.local_fallbacks += 1  # counted, never silent
             remote = None
 
         if remote is None:

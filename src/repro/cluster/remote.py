@@ -17,8 +17,9 @@ Wire format (the whole protocol, deliberately small)::
 Coordinator → worker ops, each answered by exactly one reply frame:
 
 =============  ==========================================================
-``sync``       ship DDL records + committed writes so the worker's shard
-               replica catches up to the coordinator's shard state
+``sync``       ship the shard WAL's record suffix past the worker's cursor
+               so its shard replica catches up to the coordinator's shard
+               state; cursor 0 rebuilds the replica from scratch
                (reply ``ok``)
 ``run``        execute a serialized subplan against one shard replica
                (reply ``result``, or ``need_plan`` when the referenced
@@ -39,11 +40,15 @@ states with exact ``Fraction`` sums and typed frozen group keys — so
 frames stay small exactly when parallelism matters most.
 
 Replica sync: the coordinator owns the authoritative shards in its own
-process; workers hold read replicas rebuilt from the shard WAL — DDL
-records replayed through ``MultiModelDatabase._replay_ddl`` and
-committed writes applied in commit-timestamp order.  Staleness
-detection is O(1) per query (the WAL's monotonic ``appends`` counter),
-so a loaded-then-queried benchmark ships its data exactly once.
+process; workers hold read replicas rebuilt from the shard WAL by the
+same incremental redo replica-set followers use
+(:func:`repro.engine.database.redo_record`).  The staleness check is a
+log cursor — one record index per (worker, shard), compared with
+``len(wal)`` — and a sync ships only ``wal.records_from(cursor)``.
+Read-only transactions log nothing, so a read-only stream never
+syncs and a loaded-then-queried benchmark ships its data exactly once;
+a cursor that no longer fits its log (another WAL object after
+failover or recovery, a log truncated below it) resyncs from 0.
 
 Lifecycle: workers spawn lazily (``fork`` start method when available),
 restart transparently on crash (full resync + one retry, counted in
@@ -207,41 +212,26 @@ def rebuild_exception(payload: dict[str, Any]) -> BaseException:
 class _ShardReplica:
     """One shard's read replica inside a worker process.
 
-    Built and kept current purely from ``sync`` frames: DDL records
-    replay through the same ``_replay_ddl`` path crash recovery uses,
-    committed writes apply in commit-ts order through the store's
-    ``apply_committed_write`` (which fires index and adjacency
-    maintenance hooks).  The replica serves reads through a long-lived
-    snapshot context reopened after every applied sync, so a query
-    dispatched after a write always sees it.
+    Built and kept current purely from ``sync`` frames, redone record
+    by record with the function replica-set followers use.  The replica
+    serves reads through a long-lived snapshot context reopened after
+    every applied sync, so a query dispatched after a write always sees
+    it.
     """
 
     def __init__(self, shard_id: int) -> None:
         from repro.engine.database import MultiModelDatabase
 
-        self.shard_id = shard_id
         self.db = MultiModelDatabase(name=f"replica{shard_id}")
-        self.ddl_applied = 0
-        self.synced_ts = 0
+        # Shipped writes not yet decided, per txn id (see redo_record).
+        self.pending: dict[int, list[tuple[Any, Any]]] = {}
         self._ctx: Any = None
 
-    def apply_sync(
-        self, ddl: list[dict[str, Any]], writes: list[tuple[int, Any, Any]]
-    ) -> None:
-        from repro.engine.records import Model
+    def apply_sync(self, records: list[dict[str, Any]]) -> None:
+        from repro.engine.database import redo_record
 
-        for rec in ddl:
-            self.db._replay_ddl(rec)
-            self.ddl_applied += 1
-        max_ts = self.synced_ts
-        for ts, key, value in writes:
-            self.db.store.apply_committed_write(ts, key, value, txn_id=0)
-            if key.model is Model.GRAPH_EDGE and isinstance(key.key, int):
-                self.db._next_edge_id = max(self.db._next_edge_id, key.key + 1)
-            if ts > max_ts:
-                max_ts = ts
-        self.synced_ts = max_ts
-        self.db.manager.current_ts = max(self.db.manager.current_ts, max_ts)
+        for rec in records:
+            redo_record(self.db, self.pending, rec)
         if self._ctx is not None:
             self._ctx.close()
             self._ctx = None
@@ -258,18 +248,12 @@ def _handle_sync(
     payload: dict[str, Any], replicas: dict[int, _ShardReplica]
 ) -> tuple[str, dict[str, Any]]:
     shard_id = payload["shard"]
-    replica = replicas.get(shard_id)
-    if replica is None:
-        replica = replicas[shard_id] = _ShardReplica(shard_id)
-    replica.apply_sync(payload["ddl"], payload["writes"])
-    return (
-        "ok",
-        {
-            "shard": shard_id,
-            "ddl_applied": replica.ddl_applied,
-            "synced_ts": replica.synced_ts,
-        },
-    )
+    if payload["cursor"] == 0:
+        # First sync, or the coordinator's cursor no longer fit its
+        # log: (re)build the replica from the start of the log.
+        replicas[shard_id] = _ShardReplica(shard_id)
+    replicas[shard_id].apply_sync(payload["records"])
+    return ("ok", {"shard": shard_id})
 
 
 def _handle_run(
@@ -416,8 +400,8 @@ class _WorkerHandle:
     ``lock`` serialises the (sync?, run) exchange per worker — frames on
     one pipe must never interleave across query threads.  ``shipped``
     tracks plan digests this worker holds; ``synced`` maps shard_id →
-    ``[wal_appends_seen, ddl_shipped, synced_ts]`` so the staleness
-    check is one integer compare.
+    ``(wal, cursor)``: the WAL object the replica was built from and
+    how many of its records the worker has redone.
     """
 
     __slots__ = ("index", "process", "channel", "lock", "shipped", "synced")
@@ -428,7 +412,7 @@ class _WorkerHandle:
         self.channel = channel
         self.lock = threading.Lock()
         self.shipped: set[str] = set()
-        self.synced: dict[int, list[int]] = {}
+        self.synced: dict[int, tuple[Any, int]] = {}
 
     @property
     def alive(self) -> bool:
@@ -475,8 +459,12 @@ class ProcessShardPool:
         self.spawned = 0
         self.restarts = 0
         self.sync_rounds = 0
-        self.synced_writes = 0
+        self.synced_records = 0
         self.plans_shipped = 0
+        # Scatters that had this pool but ran on in-process threads
+        # because the subplan or its bindings could not be pickled
+        # (bumped by ShardExec._scatter).
+        self.local_fallbacks = 0
         self.request_timeouts = 0
         self.retries = 0
 
@@ -594,8 +582,9 @@ class ProcessShardPool:
             "spawned": self.spawned,
             "restarts": self.restarts,
             "sync_rounds": self.sync_rounds,
-            "synced_writes": self.synced_writes,
+            "synced_records": self.synced_records,
             "plans_shipped": self.plans_shipped,
+            "local_fallbacks": self.local_fallbacks,
             "request_timeouts_total": self.request_timeouts,
             "retries_total": self.retries,
             "frames_sent": 0,
@@ -616,32 +605,31 @@ class ProcessShardPool:
 
     def _sync_locked(self, handle: _WorkerHandle, shard_id: int) -> None:
         """Catch shard_id's replica up to the coordinator shard (holding
-        the handle lock).  O(1) when nothing changed: the shard WAL's
-        monotonic ``appends`` counter is the staleness fingerprint —
-        every replica-visible change (DDL or commit) appends a record.
+        the handle lock).  O(1) when nothing was logged since the last
+        sync — the cursor equals ``len(wal)`` — otherwise only the
+        record suffix past the cursor ships.  A cursor that no longer
+        fits its log (another WAL object after failover or recovery, a
+        log truncated below it) restarts at 0, which makes the worker
+        rebuild the replica instead of redoing onto stale state.
         """
         wal = self.db.shards[shard_id].wal
-        appends = wal.appends
-        state = handle.synced.get(shard_id)
-        if state is not None and state[0] == appends:
+        synced_wal, cursor = handle.synced.get(shard_id, (None, 0))
+        if synced_wal is not wal or cursor > len(wal):
+            cursor = 0
+        elif cursor == len(wal):
             return
-        ddl_shipped = state[1] if state is not None else 0
-        synced_ts = state[2] if state is not None else 0
-        ddl = wal.ddl_records()[ddl_shipped:]
-        writes = list(wal.committed_writes_after(synced_ts))
+        records = wal.records_from(cursor)
         op, reply = handle.channel.request(
-            ("sync", {"shard": shard_id, "ddl": ddl, "writes": writes}),
+            ("sync", {"shard": shard_id, "cursor": cursor, "records": records}),
             timeout=self.request_timeout,
         )
         if op == "error":
             raise rebuild_exception(reply)
         if op != "ok":
             raise ClusterError(f"bad sync reply {op!r}")
-        handle.synced[shard_id] = [
-            appends, reply["ddl_applied"], reply["synced_ts"]
-        ]
+        handle.synced[shard_id] = (wal, cursor + len(records))
         self.sync_rounds += 1
-        self.synced_writes += len(writes)
+        self.synced_records += len(records)
 
     # -- dispatch ------------------------------------------------------------
 

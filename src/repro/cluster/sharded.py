@@ -364,8 +364,8 @@ class ShardedDatabase(Driver):
         now points at the promoted database, and the termination
         protocol settles any transactions left prepared on the *other*
         shards by a coordinator that died mid-2PC.  Worker processes are
-        discarded — their replica fingerprints referenced the dead
-        leader's WAL.  Returns the resolution counters.  Must not race
+        discarded — their sync cursors pointed into the dead leader's
+        WAL.  Returns the resolution counters.  Must not race
         in-flight 2PC on other threads (it is a fault drill, like the
         ``crash_*`` injection attributes).
         """
@@ -447,11 +447,11 @@ class ShardedDatabase(Driver):
         recovered._shard_locks = [threading.Lock() for _ in range(self.n_shards)]
         recovered._pool = None
         # Worker processes died with close() above and must not be
-        # reused anyway: wal.crash() discards unsynced records without
-        # rewinding the monotonic appends counter, so a surviving
-        # replica's staleness fingerprint would claim it is current
-        # while still holding the discarded tail.  A fresh pool spawns
-        # lazily and resyncs every replica from the recovered shards.
+        # reused anyway: wal.crash() cuts the unsynced tail and the
+        # recovered log regrows past the cut, so a surviving replica's
+        # cursor could fit the new log while still holding the
+        # discarded tail.  A fresh pool spawns lazily and resyncs every
+        # replica from the recovered shards.
         recovered._remote_pool = None
         recovered._pool_lock = threading.Lock()
         recovered.shards = []
@@ -760,7 +760,7 @@ class _ShardParticipant:
             # The YES vote never reached a quorum, so this shard may
             # still abort unilaterally — and must, or the prepared txn
             # stays pinned forever: the coordinator only releases
-            # participants whose prepare() returned.  The abort record
+            # participants whose prepare() returned.  The abort decision
             # ships to the replicas when they rejoin.
             with self.db._shard_locks[self.shard_id]:
                 self.session.abort_prepared()

@@ -24,8 +24,10 @@ class UnifiedQueryContext:
         self.session: Session = db.begin(IsolationLevel.SNAPSHOT)
 
     def close(self) -> None:
+        # The snapshot is read-only, so commit is free (no WAL record)
+        # and keeps ``aborts`` meaning transactions that really aborted.
         if self.session.txn.state.value == "active":
-            self.session.abort()
+            self.session.commit()
 
     # -- collection resolution ------------------------------------------------
 

@@ -422,6 +422,37 @@ class MultiModelDatabase:
         return edge_id
 
 
+def redo_record(
+    db: MultiModelDatabase,
+    pending: dict[int, list[tuple[RecordKey, Any]]],
+    rec: dict[str, Any],
+) -> None:
+    """Incremental redo: one shipped WAL record onto a replica's view.
+
+    The one redo shared by replica-set followers and worker-process
+    read replicas.  Write records buffer in *pending* per transaction;
+    a commit (or a 2PC commit decision) applies them at its timestamp
+    and advances the view's clock; an abort decision drops them; a
+    prepare leaves them pending — in doubt — until its decision ships.
+    DDL goes through the non-logging replay path.
+    """
+    kind = rec["type"]
+    if kind == "write":
+        pending.setdefault(rec["txn"], []).append((rec["key"], rec["value"]))
+    elif kind == "commit" or (kind == "decision" and rec["decision"] == "commit"):
+        ts = rec["ts"]
+        for key, value in pending.pop(rec["txn"], ()):
+            db.store.apply_committed_write(ts, key, value, txn_id=0)
+            if key.model is Model.GRAPH_EDGE and isinstance(key.key, int):
+                db._next_edge_id = max(db._next_edge_id, key.key + 1)
+        db.manager.current_ts = max(db.manager.current_ts, ts)
+    elif kind == "decision":
+        pending.pop(rec["txn"], None)
+    elif kind == "ddl":
+        db._replay_ddl(rec)
+    # begin / prepare / checkpoint: nothing to materialise.
+
+
 class Session:
     """The per-transaction multi-model API surface.
 

@@ -305,8 +305,15 @@ class TransactionManager:
         txn = Transaction(self, self._next_txn_id, isolation, self.current_ts)
         self._next_txn_id += 1
         self.active[txn.txn_id] = txn
-        self.wal.log_begin(txn.txn_id)
         return txn
+
+    def _log_writes(self, txn: Transaction) -> None:
+        """The transaction's first durable records: ``begin``, then its
+        writes.  Nothing is logged before commit/prepare, so read-only
+        and aborted transactions never touch the WAL."""
+        self.wal.log_begin(txn.txn_id)
+        for key, value in txn.write_set.items():
+            self.wal.log_write(txn.txn_id, key, value)
 
     def commit(self, txn: Transaction) -> int:
         if txn.txn_id not in self.active:
@@ -320,8 +327,7 @@ class TransactionManager:
             self._first_committer_wins_check(txn)
             self._prepared_overlap_check(txn)
         commit_ts = self.current_ts + 1
-        for key, value in txn.write_set.items():
-            self.wal.log_write(txn.txn_id, key, value)
+        self._log_writes(txn)
         if self.crash_before_next_commit_record:
             self.crash_before_next_commit_record = False
             self._finish_crashed(txn)
@@ -342,7 +348,6 @@ class TransactionManager:
     def abort(self, txn: Transaction) -> None:
         if txn.txn_id not in self.active:
             raise TransactionError(f"transaction {txn.txn_id} is not active")
-        self.wal.log_abort(txn.txn_id)
         txn.state = TxnState.ABORTED
         self.aborts += 1
         self._finish(txn)
@@ -379,8 +384,7 @@ class TransactionManager:
                 raise SerializationConflict(
                     f"txn {txn.txn_id}: cannot pin {key} at prepare: {exc}"
                 ) from exc
-        for key, value in txn.write_set.items():
-            self.wal.log_write(txn.txn_id, key, value)
+        self._log_writes(txn)
         self.wal.log_prepare(txn.txn_id, global_id)
         txn.state = TxnState.PREPARED
         txn.global_id = global_id

@@ -11,12 +11,19 @@ the same check.
 
 Record shapes (plain dicts so they serialise trivially):
 
-- ``{"type": "begin", "txn": id}``
+- ``{"type": "begin", "txn": id}`` — written immediately before the
+  transaction's first ``write`` record, at commit/prepare time
 - ``{"type": "write", "txn": id, "key": RecordKey, "value": ...}``
   (``value is None`` encodes a delete)
 - ``{"type": "commit", "txn": id, "ts": commit_ts}``
-- ``{"type": "abort", "txn": id}``
 - ``{"type": "checkpoint", "ts": ts}``
+
+Writes are buffered in the transaction and only reach the log at
+commit/prepare, so log work is proportional to what was written: a
+read-only transaction leaves no record at all, and there is no
+``abort`` record type — a transaction that gives up before commit has
+logged nothing to revoke (a *prepared* one is revoked by an abort
+``decision``, below).
 
 Two-phase commit adds participant-side records (``repro.txn`` is the
 coordinator; the shard WAL only stores the participant's view):
@@ -29,7 +36,7 @@ coordinator; the shard WAL only stores the participant's view):
   coordinator's verdict reached this participant (or was re-derived by
   recovery from the coordinator log).
 
-A prepared transaction with no decision/commit/abort record is
+A prepared transaction with no decision/commit record is
 *in-doubt*: :meth:`replay` holds its writes back (neither redone nor
 forgotten) and :meth:`prepared_in_doubt` surfaces it so recovery can ask
 the coordinator log for the verdict.  Prepare and decision appends
@@ -122,9 +129,6 @@ class WriteAheadLog:
 
     def log_commit(self, txn_id: int, commit_ts: int) -> None:
         self.append({"type": "commit", "txn": txn_id, "ts": commit_ts})
-
-    def log_abort(self, txn_id: int) -> None:
-        self.append({"type": "abort", "txn": txn_id})
 
     def log_prepare(self, txn_id: int, global_id: int) -> None:
         """Participant PREPARE vote; forced durable regardless of config."""
@@ -265,7 +269,7 @@ class WriteAheadLog:
         """Map txn_id -> global txn id for every unresolved prepared txn.
 
         A txn is in-doubt when its prepare record is durable but no
-        commit, abort, or decision record follows.  Recovery must not
+        commit or decision record follows.  Recovery must not
         redo its writes (the coordinator may have aborted) nor drop them
         (the coordinator may have committed) until the coordinator log
         settles the verdict.
@@ -274,7 +278,7 @@ class WriteAheadLog:
         for rec in self.records():
             if rec["type"] == "prepare":
                 out[rec["txn"]] = rec["gtxn"]
-            elif rec["type"] in ("commit", "abort", "decision"):
+            elif rec["type"] in ("commit", "decision"):
                 out.pop(rec["txn"], None)
         return out
 
@@ -302,49 +306,6 @@ class WriteAheadLog:
             for key, value in writes.get(txn_id, []):
                 yield ts, key, copy_value(value)
 
-    def ddl_records(self) -> list[dict[str, Any]]:
-        """Every DDL record, oldest first — the *full* log, tail included.
-
-        Replica sync (``repro.cluster.remote``) replays these on worker
-        processes; DDL is applied the moment it is logged, so a replica
-        must see it whether or not the tail is synced yet.
-        """
-        return [rec for rec in self._records if rec["type"] == "ddl"]
-
-    def committed_writes_after(
-        self, after_ts: int
-    ) -> Iterator[tuple[int, RecordKey, Any]]:
-        """(commit_ts, key, value) for committed writes with ts > *after_ts*.
-
-        The incremental replica-sync feed: unlike :meth:`replay` this
-        scans the full in-memory log *including the unsynced tail* — a
-        committed-but-unsynced write is already visible to queries on
-        this node, so a read replica serving the same queries must apply
-        it (durability is the coordinator's concern, not the replica's).
-        Writes of transactions that are uncommitted, aborted, or still
-        in doubt are excluded; commit timestamps are assigned
-        monotonically at commit, so filtering on ``ts > after_ts`` never
-        skips a transaction that commits later.  Values are *not*
-        copied: callers serialise them across a process boundary (or
-        re-copy on apply).
-        """
-        records = list(self._records)  # snapshot; appended dicts are immutable
-        committed: dict[int, int] = {}
-        for rec in records:
-            if rec["type"] == "commit":
-                committed[rec["txn"]] = rec["ts"]
-            elif rec["type"] == "decision" and rec["decision"] == "commit":
-                committed[rec["txn"]] = rec["ts"]
-        wanted = {txn for txn, ts in committed.items() if ts > after_ts}
-        writes: dict[int, list[tuple[RecordKey, Any]]] = {}
-        for rec in records:
-            if rec["type"] == "write" and rec["txn"] in wanted:
-                writes.setdefault(rec["txn"], []).append((rec["key"], rec["value"]))
-        for txn_id in sorted(wanted, key=lambda t: committed[t]):
-            ts = committed[txn_id]
-            for key, value in writes.get(txn_id, []):
-                yield ts, key, value
-
     # -- log shipping (replication) -------------------------------------------
 
     def records_from(self, start: int) -> list[dict[str, Any]]:
@@ -356,8 +317,8 @@ class WriteAheadLog:
         crash.  Record dicts are treated as immutable after append, so
         sharing them with an in-process follower is safe; a remote
         follower serialises them anyway.  The cursor is a plain record
-        index (``len(wal)`` after the ship), the same O(1) fingerprint
-        the appends counter gives the worker-process replicas.
+        index (``len(wal)`` after the ship); replica-set followers and
+        worker-process replicas both keep one.
         """
         return self._records[start:]
 

@@ -5,19 +5,21 @@ Design notes
 
 **Log shipping** is by raw record index over the leader's WAL
 (:meth:`~repro.engine.wal.WriteAheadLog.records_from`): the cursor is
-just the follower's record count, the same O(1) fingerprint the
-worker-process replicas use.  Shipped records are synced on the
+just the follower's record count, the same cursor the worker-process
+replicas keep.  Shipped records are synced on the
 follower *including the leader's unsynced tail* — a follower's copy can
 therefore be **more** durable than the leader's own page cache, which
 is precisely how a quorum-acked write survives a leader crash that
 eats the leader's tail.
 
 **The follower view** is a private :class:`MultiModelDatabase`
-materialised incrementally from the shipped records (write records
-buffer per transaction; a commit/commit-decision applies them at the
-commit timestamp; abort drops them; a prepare holds them in doubt).
-The view's own WAL is throwaway — read snapshots log begin/abort noise
-into it — the replica's *shipped* WAL copy is the replication truth.
+materialised incrementally from the shipped records by
+:func:`repro.engine.database.redo_record`, the same redo the worker
+processes run (write records buffer per transaction; a
+commit/commit-decision applies them at the commit timestamp; an abort
+decision drops them; a prepare holds them in doubt).  The view's own
+WAL stays empty — the replica's *shipped* WAL copy is the replication
+truth.
 
 **Election** is deterministic and timeout-free (injectable clock, fault
 hooks instead of heartbeats): every live replica votes for the
@@ -40,8 +42,8 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable
 
-from repro.engine.database import MultiModelDatabase
-from repro.engine.records import Model, RecordKey, copy_value
+from repro.engine.database import MultiModelDatabase, redo_record
+from repro.engine.records import Model, RecordKey
 from repro.engine.transactions import Store, TransactionManager
 from repro.engine.wal import WriteAheadLog
 from repro.errors import ClusterError, QuorumLostError
@@ -103,8 +105,7 @@ class Replica:
     """One member of a replica set: a WAL copy plus a materialised view."""
 
     __slots__ = (
-        "replica_id", "wal", "db", "role", "alive",
-        "applied_ts", "pending", "caught_up_wall",
+        "replica_id", "wal", "db", "role", "alive", "pending", "caught_up_wall",
     )
 
     def __init__(
@@ -116,14 +117,17 @@ class Replica:
         self.db = db
         self.role = role
         self.alive = True
-        # Highest commit timestamp applied to the view — the freshness
-        # bound session tokens compare against.  The leader's is implied
-        # by its manager; followers track it explicitly.
-        self.applied_ts = 0
         # Writes shipped but not yet decided, per txn id (in-doubt
         # prepares hold here until their decision record ships).
         self.pending: dict[int, list[tuple[RecordKey, Any]]] = {}
         self.caught_up_wall = wall
+
+    @property
+    def applied_ts(self) -> int:
+        """Highest commit timestamp applied to the view — the freshness
+        bound session tokens compare against (redo advances the view's
+        clock, so the view's manager holds it)."""
+        return self.db.manager.current_ts
 
 
 class ReplicaSet:
@@ -218,44 +222,13 @@ class ReplicaSet:
         missing = self.leader.wal.records_from(len(follower.wal))
         for rec in missing:
             follower.wal.append(rec)
-            self._apply_to_view(follower, rec)
+            redo_record(follower.db, follower.pending, rec)
         if missing:
             follower.wal.sync()  # one fsync per batch: shipped == durable
             self.records_shipped += len(missing)
         if len(follower.wal) == len(self.leader.wal):
             follower.caught_up_wall = self.clock()
         return len(missing)
-
-    def _apply_to_view(self, follower: Replica, rec: dict[str, Any]) -> None:
-        """Incremental redo: one shipped record onto the follower view."""
-        kind = rec["type"]
-        if kind == "ddl":
-            follower.db._replay_ddl(rec)
-        elif kind == "write":
-            follower.pending.setdefault(rec["txn"], []).append(
-                (rec["key"], rec["value"])
-            )
-        elif kind == "commit":
-            self._apply_commit(follower, rec["txn"], rec["ts"])
-        elif kind == "decision":
-            if rec["decision"] == "commit":
-                self._apply_commit(follower, rec["txn"], rec["ts"])
-            else:
-                follower.pending.pop(rec["txn"], None)
-        elif kind == "abort":
-            follower.pending.pop(rec["txn"], None)
-        # begin / prepare / checkpoint: nothing to materialise (a
-        # prepare's writes stay pending — in doubt — until the decision).
-
-    def _apply_commit(self, follower: Replica, txn_id: int, ts: int) -> None:
-        db = follower.db
-        for key, value in follower.pending.pop(txn_id, ()):
-            db.store.apply_committed_write(ts, key, copy_value(value), txn_id=0)
-            if key.model is Model.GRAPH_EDGE and isinstance(key.key, int):
-                db._next_edge_id = max(db._next_edge_id, key.key + 1)
-        if ts > follower.applied_ts:
-            follower.applied_ts = ts
-            db.manager.current_ts = max(db.manager.current_ts, ts)
 
     def replicate(self) -> None:
         """Quorum write ack: ship to enough live followers, or refuse.
@@ -525,7 +498,6 @@ class ReplicaSet:
         )
         winner.role = "leader"
         winner.pending.clear()
-        winner.applied_ts = winner.db.manager.current_ts
         winner.caught_up_wall = self.clock()
         self.leader_id = winner.replica_id
 
@@ -566,9 +538,8 @@ class ReplicaSet:
             name=f"shard{self.shard_id}f{replica.replica_id}"
         )
         replica.pending = {}
-        replica.applied_ts = 0
         for rec in replica.wal.records_from(0):
-            self._apply_to_view(replica, rec)
+            redo_record(replica.db, replica.pending, rec)
 
     # -- metrics -------------------------------------------------------------
 

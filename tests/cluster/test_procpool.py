@@ -90,7 +90,7 @@ def test_queries_actually_ran_in_worker_processes(procs4):
     metrics = pool.metrics()
     assert metrics["alive"] >= 1
     assert metrics["plans_shipped"] >= 1
-    assert metrics["synced_writes"] > 0
+    assert metrics["synced_records"] > 0
 
 
 def test_writes_after_dispatch_are_resynced(procs4):

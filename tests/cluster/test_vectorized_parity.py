@@ -99,6 +99,27 @@ def test_process_pool_matches_thread_pool(
     assert _canon(query, processed) == _canon(query, threaded)
 
 
+def test_thread_scatter_fallback_is_counted(sharded4, sharded4p, small_dataset):
+    """An unpicklable payload still answers — in-process — but never silently.
+
+    ``procpool.local_fallbacks`` stays 0 across the whole Q1–Q12 suite
+    (every benchmark subplan and binding crosses the wire) and moves by
+    exactly one for a scatter whose parameters carry a lambda.
+    """
+    for query in QUERIES:
+        sharded4p.query(query.text, query.params(small_dataset))
+    pool = sharded4p.remote_pool()
+    assert pool.local_fallbacks == 0
+    text = "FOR o IN orders FILTER o.total_price >= @lo RETURN o._id"
+    params = {"lo": 0, "unpicklable": lambda: None}
+    frames = pool.metrics()["frames_sent"]
+    assert sorted(sharded4p.query(text, params)) == sorted(
+        sharded4.query(text, params)
+    )
+    assert pool.metrics()["frames_sent"] == frames  # ran on threads
+    assert sharded4p.metrics()["collected"]["procpool"]["local_fallbacks"] == 1
+
+
 def test_routed_single_shard_forwards_batches_untouched():
     """fanout == 1 skips the gather: batches cross by reference.
 

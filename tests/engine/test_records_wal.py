@@ -110,13 +110,6 @@ class TestWal:
         replayed = list(wal.replay())
         assert replayed == [(10, KEY, {"v": 1})]
 
-    def test_replay_skips_aborted(self):
-        wal = WriteAheadLog()
-        wal.log_begin(1)
-        wal.log_write(1, KEY, {"v": 1})
-        wal.log_abort(1)
-        assert list(wal.replay()) == []
-
     def test_replay_orders_by_commit_ts(self):
         wal = WriteAheadLog()
         key2 = RecordKey(Model.DOCUMENT, "orders", "o2")

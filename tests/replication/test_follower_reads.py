@@ -103,6 +103,21 @@ class TestStalenessBound:
         rows = db.query("FOR d IN orders FILTER d._id == 900 RETURN d._id")
         assert rows == [900]
 
+    def test_leader_reads_never_trigger_a_repair(self):
+        # Reads log nothing, so a leader-side read cannot put a
+        # follower behind: at the tightest bound the next follower read
+        # still finds zero lag and ships nothing.
+        db = _loaded("follower", max_lag_records=0)
+        shipped = [rs.records_shipped for rs in db.replica_sets]
+        with db.transaction() as s:  # read-only session on the leaders
+            assert len(list(s.doc_scan("orders"))) == 24
+            assert s.sql_get("people", (3,))["name"] == "p3"
+        for rs in db.replica_sets:
+            assert all(rs.lag_records(f) == 0 for f in rs.live_followers())
+        assert len(db.query("FOR d IN orders RETURN d._id")) == 24
+        assert sum(rs.follower_reads for rs in db.replica_sets) > 0
+        assert [rs.records_shipped for rs in db.replica_sets] == shipped
+
     def test_loose_bound_can_serve_stale(self):
         db = _loaded("follower", max_lag_records=10_000)
         baseline = len(db.query("FOR d IN orders RETURN d._id"))
