@@ -4,11 +4,15 @@ Per-case timings of the E14 experiment table (per-row interpreted vs
 batched vs fused execution on scan/filter/project shapes and the Q7
 join), plus the perf-regression smoke CI runs at SF=0.01:
 
-- the **end-to-end speedup** of the fused vectorized engine over the
-  per-row interpreter on the Q7 join must stay above
-  ``BENCH_VECTOR_MIN_SPEEDUP`` (default 1.5x — comfortably below the
-  measured ~3x at full scale and ~2.3x at smoke scale, so CI flags a
-  real regression rather than host noise);
+- the **end-to-end speedup** of the default engine over the per-row
+  interpreter on the Q7 join must stay above
+  ``BENCH_VECTOR_MIN_SPEEDUP`` (default 1.5x).  The two sides no longer
+  run the same algorithm: batch mode runs Q7's two ``EquiJoin``s on
+  their hash side (one build per query), while ``use_batches=False`` is
+  the reference mode that rebuilds the nested loop, so the ratio is
+  hash join + fusion over nested loop + interpreter — ~3x at smoke
+  scale, ~12x at SF 0.05, and growing with scale.  The floor still
+  catches the batch path losing its join or its kernels;
 - every mode must return identical results on every query the table
   times (the experiment raises otherwise).
 
@@ -36,9 +40,10 @@ def bench_e14_vectorized_table(benchmark):
     record_table(table)
     by_case = {r["case"]: r for r in table.to_records()}
     q7 = by_case["Q7"]
-    # The perf-regression smoke: the fused engine must beat the per-row
+    # The perf-regression smoke: the default engine must beat the per-row
     # interpreter end-to-end on the join-heavy Q7 by the configured
-    # floor (the scan-block cache plus fused kernels carry this).
+    # floor (hash EquiJoin vs the reference nested loop carries most of
+    # it, fused kernels the rest).
     assert q7["speedup_x"] >= MIN_SPEEDUP, (
         f"fused/interpreted Q7 speedup regressed: "
         f"{q7['speedup_x']}x < {MIN_SPEEDUP}x"

@@ -739,8 +739,11 @@ def experiment_e14_vectorized(
     Shapes: a bare scan+project, the E13 expression-heavy filter, a
     filter→let→let→project chain (maximum fusion depth), and Q7
     end-to-end (multi-way join + COLLECT + TopK — the blocking
-    operators bound how much of the plan can fuse).  Every mode's
-    results are checked identical before anything is timed.
+    operators bound how much of the plan can fuse).  On Q7 the modes
+    also differ in join algorithm: the batch modes run ``EquiJoin``'s
+    hash side, ``interpreted`` is the reference mode's nested loop, so
+    that row's ratio is dominated by the join and grows with scale.
+    Every mode's results are checked identical before anything is timed.
     """
     from repro.core.workloads import QUERY_BY_ID
 

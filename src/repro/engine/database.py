@@ -663,11 +663,10 @@ class Session:
 
     def kv_scan_prefix(self, namespace: str, prefix: str) -> list[tuple[str, Any]]:
         self._require(Model.KEY_VALUE, namespace)
-        out = [
-            (k, v)
-            for k, v in self.txn.scan(Model.KEY_VALUE, namespace)
-            if isinstance(k, str) and k.startswith(prefix)
-        ]
+        out = list(self.txn.scan(
+            Model.KEY_VALUE, namespace,
+            lambda k: isinstance(k, str) and k.startswith(prefix),
+        ))
         out.sort(key=lambda pair: pair[0])
         return out
 
@@ -678,11 +677,10 @@ class Session:
         self._require(Model.KEY_VALUE, namespace)
         if low > high:
             raise EngineError(f"bad kv range [{low!r}, {high!r})")
-        out = [
-            (k, v)
-            for k, v in self.txn.scan(Model.KEY_VALUE, namespace)
-            if isinstance(k, str) and low <= k < high
-        ]
+        out = list(self.txn.scan(
+            Model.KEY_VALUE, namespace,
+            lambda k: isinstance(k, str) and low <= k < high,
+        ))
         out.sort(key=lambda pair: pair[0])
         return out if limit is None else out[:limit]
 

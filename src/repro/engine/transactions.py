@@ -181,11 +181,18 @@ class Transaction:
     def delete(self, key: RecordKey) -> None:
         self.write(key, None)
 
-    def scan(self, model: Model, collection: str) -> Iterator[tuple[Any, Any]]:
+    def scan(
+        self,
+        model: Model,
+        collection: str,
+        key_filter: Callable[[Any], bool] | None = None,
+    ) -> Iterator[tuple[Any, Any]]:
         """Yield (key, value) for every record visible in a collection.
 
         Own buffered writes overlay the committed state: additions appear,
-        deletions disappear, updates show the new value.
+        deletions disappear, updates show the new value.  *key_filter*
+        narrows the scan to the raw keys it accepts, tested before any
+        visibility check or value copy is spent on a record.
         """
         self._check_active()
         if self.isolation is IsolationLevel.SERIALIZABLE:
@@ -200,6 +207,8 @@ class Transaction:
         )
         emitted: set[Any] = set()
         for raw_key, chain in list(coll.items()):
+            if key_filter is not None and not key_filter(raw_key):
+                continue
             record_key = RecordKey(model, collection, raw_key)
             if record_key in self.write_set:
                 continue  # handled by the overlay pass below
@@ -224,12 +233,15 @@ class Transaction:
                     record_key.key not in emitted
                     and record_key not in self.write_set
                     and record_key.key not in coll
+                    and (key_filter is None or key_filter(record_key.key))
                 ):
                     emitted.add(record_key.key)
                     yield record_key.key, copy_value(value)
         for record_key, value in list(self.write_set.items()):
             if record_key.model is model and record_key.collection == collection:
-                if value is not None:
+                if value is not None and (
+                    key_filter is None or key_filter(record_key.key)
+                ):
                     yield record_key.key, copy_value(value)
 
     def declare_insert(self, model: Model, collection: str) -> None:

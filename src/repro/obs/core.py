@@ -38,6 +38,11 @@ _STAT_COUNTERS = {
     "scans": "repro_exec_scans_total",
     "rows_scanned": "repro_exec_rows_scanned_total",
     "scan_cache_hits": "repro_exec_scan_cache_hits_total",
+    "index_fallback_scans": "repro_exec_index_fallback_scans_total",
+    "join_builds": "repro_exec_join_builds_total",
+    "join_build_rows": "repro_exec_join_build_rows_total",
+    "join_index_probes": "repro_exec_join_index_probes_total",
+    "join_unhashable_rows": "repro_exec_join_unhashable_rows_total",
     "shard_fanout": "repro_exec_shard_fanout_total",
 }
 

@@ -18,7 +18,10 @@ consumed) and ``groups=`` (distinct group keys built) per phase, so the
 two-phase pushdown's row reduction is directly visible: the partial
 phase shows the matching-row input and the small per-shard group
 output, and the ShardExec above it shows that only those group states
-crossed the gather into the final phase.
+crossed the gather into the final phase.  ``EquiJoin`` lines say which
+side ran: ``build_rows=`` and ``probes=`` for the once-per-query hash
+table, ``index_probes=`` for the index nested loop; its inner subplan
+renders indented below it, before the outer side.
 """
 
 from __future__ import annotations

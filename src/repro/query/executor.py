@@ -20,7 +20,10 @@ What remains here is the *runtime* the operators call back into:
   plan cache, keyed by the (value-hashable) Query AST; nothing is
   pinned by ``id()`` and equal subqueries share one plan.
 - ``stats`` — access-path counters (``index_lookups``, ``range_lookups``,
-  ``scans``, ``rows_scanned``) that the benchmarks and tests assert on.
+  ``scans``, ``rows_scanned``) that the benchmarks and tests assert on,
+  plus the counted fallbacks: ``index_fallback_scans`` (an index hint
+  that found no index and scanned) and the ``join_*`` counters saying
+  which side of each :class:`~repro.query.physical.EquiJoin` ran.
 - ``use_indexes`` — the E1 ablation switch; when off, index access paths
   degrade to scans at run time without replanning.
 """
@@ -107,13 +110,18 @@ class Executor:
         self.trace_id: int | None = None
         self.stats = {
             "index_lookups": 0, "range_lookups": 0, "scans": 0, "rows_scanned": 0,
-            "scan_cache_hits": 0,
+            "scan_cache_hits": 0, "index_fallback_scans": 0,
+            "join_builds": 0, "join_build_rows": 0, "join_index_probes": 0,
+            "join_unhashable_rows": 0,
         }
         # Batch-mode scan materialization: collection name -> the scanned
         # block, so nested-loop inner scans re-serve one materialized
         # pass instead of re-scanning the store per outer row.  Scoped to
         # one top-level execute() — cleared there, shared by subqueries.
         self.scan_cache: dict[str, list[Any]] = {}
+        # EquiJoin build tables, same scope: id(operator) -> (operator,
+        # table), so a join inside a correlated subquery builds once.
+        self.join_tables: dict[int, tuple[Any, Any]] = {}
         self.plans = plans if plans is not None else PlanCache(capacity=64)
         self.epoch = epoch
         # Per-executor memo in front of the shared cache for subqueries:
@@ -163,6 +171,7 @@ class Executor:
         # Scan blocks are only valid within one query's snapshot: a
         # reused executor must not serve a previous query's scans.
         self.scan_cache.clear()
+        self.join_tables.clear()
         run_params = dict(params) if params else {}
         if prepared.binds:
             run_params.update(prepared.binds)

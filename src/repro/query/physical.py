@@ -12,6 +12,8 @@ Operator inventory (one class per shape of work):
 Operator           Role
 =================  ========================================================
 NestedLoopBind     FOR: bind a variable per item of an access path
+EquiJoin           FOR block tied to outer bindings by ``==``: index probe
+                   when the context has the index, else one hash build/query
 CollectionScan     access path: full scan of a named collection
 IndexEqLookup      access path: equality probe of a secondary index
 IndexRangeScan     access path: bounded scan of a sorted/B+tree index
@@ -57,8 +59,10 @@ interpreter remains the differential oracle for every new path.
 Laziness caveat: batch execution evaluates up to one chunk of rows
 ahead of a LIMIT's cut-off, so a predicate that *errors* on a row the
 per-binding engine would never have pulled can surface the error — the
-standard vectorized-engine trade, bounded by the batch size.  Values
-and ordering are identical in all modes.
+standard vectorized-engine trade, bounded by the batch size.  An
+:class:`EquiJoin` that takes its hash side reads ahead further: the
+whole inner block, once, on the first outer row (an empty outer side
+never touches it).  Values and ordering are identical in all modes.
 """
 
 from __future__ import annotations
@@ -217,6 +221,11 @@ class AccessPath:
         raise NotImplementedError
 
 
+def _count(rt: Any, stat: str, by: int = 1) -> None:
+    """Bump a counter that shard-local stats dicts do not pre-register."""
+    rt.stats[stat] = rt.stats.get(stat, 0) + by
+
+
 def _scan_batches(rt: Any, collection: str, size: int) -> Iterator[list[Any]]:
     """Full-scan fallback emitting chunks, counting stats per chunk.
 
@@ -236,7 +245,7 @@ def _scan_batches(rt: Any, collection: str, size: int) -> Iterator[list[Any]]:
     cache = getattr(rt, "scan_cache", None)
     docs = cache.get(collection) if cache is not None else None
     if docs is not None:
-        rt.stats["scan_cache_hits"] = rt.stats.get("scan_cache_hits", 0) + 1
+        _count(rt, "scan_cache_hits")
         yield from _chunks(docs, size)
         return
     rt.stats["scans"] += 1
@@ -317,6 +326,7 @@ class IndexEqLookup(AccessPath):
                 rt.stats["index_lookups"] += 1
                 yield from matches
                 return
+        _count(rt, "index_fallback_scans")
         rt.stats["scans"] += 1
         for item in rt.ctx.iter_collection(self.collection):
             rt.stats["rows_scanned"] += 1
@@ -334,6 +344,7 @@ class IndexEqLookup(AccessPath):
                 rt.stats["index_lookups"] += 1
                 yield from _chunks(matches, size)
                 return
+        _count(rt, "index_fallback_scans")
         yield from _scan_batches(rt, self.collection, size)
 
     def describe(self) -> str:
@@ -393,6 +404,7 @@ class IndexRangeScan(AccessPath):
                 rt.stats["range_lookups"] += 1
                 yield from matches
                 return
+        _count(rt, "index_fallback_scans")
         rt.stats["scans"] += 1
         for item in rt.ctx.iter_collection(self.collection):
             rt.stats["rows_scanned"] += 1
@@ -421,6 +433,7 @@ class IndexRangeScan(AccessPath):
                 rt.stats["range_lookups"] += 1
                 yield from _chunks(matches, size)
                 return
+        _count(rt, "index_fallback_scans")
         yield from _scan_batches(rt, self.collection, size)
 
     def describe(self) -> str:
@@ -573,6 +586,171 @@ class NestedLoopBind(PhysicalOperator):
 
     def label(self) -> str:
         return f"NestedLoopBind {self.var}: {self.access.describe()}"
+
+
+# (block rows, key -> positions in rows, positions whose key has no hash)
+_JoinTable = tuple[list[Binding], dict[Any, list[int]], list[int]]
+
+_NO_KEY = object()  # an outer key that raised: the residual FILTER re-raises it
+
+
+@dataclass(frozen=True)
+class EquiJoin(PhysicalOperator):
+    """FOR block joined to the bindings in scope on ``inner_key == outer_key``.
+
+    ``subplan`` is the inner side: the block (a collection FOR plus the
+    unnests, LETs and filters that read only its own variables) lowered
+    as a plan of its own, with no child.  Per outer binding the operator
+    emits a *superset* of the block rows whose key equals the outer key,
+    in the order the block produces them; the planner keeps the original
+    FILTER above as the strict residual, so the output is row-for-row
+    the nested loop's and ``==`` keeps Python semantics (``None == None``,
+    ``1 == 1.0 == True``, NaN) without being re-implemented here.
+
+    Which side finds the matches is decided per outer row from what the
+    context reports, and from nothing else:
+
+    - ``probe`` is set when the block is one collection FOR keyed on a
+      field path — the index nested loop.  If ``rt.use_indexes`` and the
+      context has that index, its lookup is the match list.
+    - Otherwise the block runs **once per top-level query** — lazily, on
+      the first outer row that needs it — into key → row buckets cached
+      on the executor (``rt.join_tables``, cleared with ``scan_cache``).
+      Build rows whose key cannot be hashed or evaluated go to an
+      always-probed overflow, and such an outer key probes every row:
+      never dropped, never an exception — the residual decides.
+
+    An outer binding that holds a variable named like ``collection`` (a
+    subquery seed) shadows the collection, so that row runs the block
+    seeded with it: the nested loop.  The per-binding ``run()`` is the
+    reference mode and shares no code with the native body — it rebuilds
+    the nested-loop chain this operator replaced over the same child.
+    """
+
+    subplan: PhysicalOperator
+    inner_key: Expr
+    outer_key: Expr
+    collection: str
+    probe: NestedLoopBind | None = None
+    child: PhysicalOperator | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_c_inner", compile_expr(self.inner_key))
+        object.__setattr__(self, "_c_outer", compile_expr(self.outer_key))
+
+    def run(self, rt, params, seed=None):
+        if self.probe is not None:
+            return replace(self.probe, child=self.child).run(rt, params, seed)
+        spine: list[PhysicalOperator] = []
+        node: PhysicalOperator | None = self.subplan
+        while node is not None:
+            spine.append(node)
+            node = node.child
+        node = self.child
+        for op in reversed(spine):
+            node = replace(op, child=node)
+        return node.run(rt, params, seed)
+
+    def run_batches(self, rt, params, seed=None):
+        size = batch_size(rt)
+        outer_key = evaluator(rt, self._c_outer, self.outer_key)
+        collection = self.collection
+        index = self.probe.access if self.probe is not None and rt.use_indexes else None
+        table: _JoinTable | None = None
+        rows: list[Binding] = []
+        # Counted as it happens: a LIMIT above may never drain this stream.
+        seen = {"build_rows": 0, "probes": 0, "index_probes": 0}
+        observed = getattr(rt, "observed", None)
+        if observed is not None:
+            seen = observed.setdefault(id(self), seen)
+        out: list[Binding] = []
+        append = out.append
+        for batch in self._input_batches(rt, params, seed):
+            for binding in batch:
+                if collection in binding:
+                    for chunk in self.subplan.run_batches(rt, params, binding):
+                        out.extend(chunk)
+                    continue
+                try:
+                    key = outer_key(rt, binding, params)
+                except ExecutionError:
+                    key = _NO_KEY
+                matches = None
+                if index is not None and key is not _NO_KEY:
+                    matches = rt.ctx.index_lookup(index.collection, index.field, key)
+                if matches is not None:
+                    rt.stats["index_lookups"] += 1
+                    _count(rt, "join_index_probes")
+                    seen["index_probes"] += 1
+                    var = self.probe.var
+                    for item in matches:
+                        extended = dict(binding)
+                        extended[var] = item
+                        append(extended)
+                else:
+                    if table is None:
+                        table = self._table(rt, params)
+                        rows = table[0]
+                        seen["build_rows"] = len(rows)
+                    seen["probes"] += 1
+                    for position in _join_matches(table, key):
+                        extended = dict(binding)
+                        extended.update(rows[position])
+                        append(extended)
+                if len(out) >= size:
+                    yield out
+                    out = []
+                    append = out.append
+        if out:
+            yield out
+
+    def _table(self, rt: Any, params: dict[str, Any]) -> _JoinTable:
+        """This query's build of the inner side, made on first use."""
+        cache = getattr(rt, "join_tables", None)
+        if cache is not None and id(self) in cache:
+            return cache[id(self)][1]
+        inner_key = evaluator(rt, self._c_inner, self.inner_key)
+        rows: list[Binding] = []
+        buckets: dict[Any, list[int]] = {}
+        overflow: list[int] = []
+        for batch in self.subplan.run_batches(rt, params):
+            for row in batch:
+                try:
+                    buckets.setdefault(inner_key(rt, row, params), []).append(len(rows))
+                except (ExecutionError, TypeError):
+                    overflow.append(len(rows))
+                rows.append(row)
+        _count(rt, "join_builds")
+        _count(rt, "join_build_rows", len(rows))
+        _count(rt, "join_unhashable_rows", len(overflow))
+        table = (rows, buckets, overflow)
+        if cache is not None:
+            # Pinning the operator keeps its id() from being recycled
+            # while the entry lives.
+            cache[id(self)] = (self, table)
+        return table
+
+    def label(self) -> str:
+        how = "hash build"
+        if self.probe is not None:
+            access = self.probe.access
+            how = f"index {access.collection}.{access.field}, else hash build"
+        return (
+            f"EquiJoin [{render_expr(self.inner_key)} == "
+            f"{render_expr(self.outer_key)}] ({how})"
+        )
+
+
+def _join_matches(table: _JoinTable, key: Any) -> Any:
+    """Positions of the build rows that may equal *key*, in block order."""
+    rows, buckets, overflow = table
+    if key is _NO_KEY:
+        return range(len(rows))
+    try:
+        hits = buckets.get(key, ())
+    except TypeError:  # unhashable outer key
+        return range(len(rows))
+    return sorted([*hits, *overflow]) if overflow else hits
 
 
 @dataclass(frozen=True)

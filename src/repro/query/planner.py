@@ -18,14 +18,42 @@ bindings through.  The contract:
    ``<=`` / ``>`` / ``>=`` (AND-ed intervals combine into one scan), or a
    full collection scan.  Fields may be dotted paths (``address.city``).
    The chosen path is advisory: the executor falls back to a scan when
-   the context has no matching index, and the original predicates remain
-   as residual filters, so over-approximating access paths stay correct.
+   the context has no matching index (counted: ``index_fallback_scans``),
+   and the original predicates remain as residual filters, so
+   over-approximating access paths stay correct.
 4. **TopK fusion** — SORT immediately followed by LIMIT becomes a single
    bounded-heap TopK operator instead of a full materialising sort.
-5. **Operator fusion** — after sharding, maximal straight-line chains of
+5. **Join selection** — a ``FOR x IN collection`` with bindings already
+   in scope lowers to one :class:`~repro.query.physical.EquiJoin`
+   instead of a nested loop when an equality ties it to them:
+
+   - its equality hint (rule 3) has a key that reads bound variables —
+     ``o.customer_id == c.id``.  The FOR alone is the inner side and the
+     join probes that index when the context has it; ``IndexEqLookup``
+     is left serving only keys evaluable before its FOR (parameters,
+     literals), so the same shape never lowers two ways; or
+   - the FOR plus the clauses after it that read only the block's own
+     variables (unnests like ``FOR it IN o.items``, LETs, filters) form
+     an inner block, and a filter among those that follow has a conjunct
+     ``inner_expr == outer_expr`` — one side reading only the block, the
+     other only the bindings in scope.
+
+   The inner side is always the FOR's block, never the smaller input:
+   per outer row the join emits matches in the order the block produces
+   them, so the output is row-for-row the nested loop's and LIMIT
+   without SORT, DISTINCT and COLLECT INTO see the same stream.  The
+   predicate's FILTER stays above the join as the strict residual.  A
+   correlated inner FOR, a source that names a bound variable, and
+   ``!=``/``<`` predicates keep the nested loop.  Laziness: the hash
+   side reads the *whole* inner block on the first outer row, so a
+   LIMIT above no longer bounds how much of the inner side is read or
+   which of its erroring rows surface — and, as with any access path,
+   clauses between the FOR and its predicate see only candidate rows.
+6. **Operator fusion** — after sharding, maximal straight-line chains of
    bind/filter/let/project collapse into :class:`FusedPipeline` nodes
    (:func:`repro.query.physical.fuse_pipelines`) whose per-batch closure
-   chains drop the remaining per-row operator hops.
+   chains drop the remaining per-row operator hops; a join's inner block
+   fuses as a plan of its own.
 
 :func:`parameterize` is the prepared-statement half of the plan cache:
 it normalises literals into synthetic parameters so literal-differing
@@ -74,6 +102,7 @@ from repro.query.ast import (
 from repro.query.physical import (
     AccessPath,
     CollectionScan,
+    EquiJoin,
     ExpressionSource,
     Filter,
     HashAggregate,
@@ -538,18 +567,43 @@ def _flip(op: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Rule 4 + lowering — physical operator tree (with SORT+LIMIT fusion)
+# Rules 4-5 + lowering — physical operator tree (TopK fusion, join selection)
 # ---------------------------------------------------------------------------
 
 
 def _lower(query: Query, notes: list[str]) -> PhysicalOperator:
+    return Project(query.returning, _lower_clauses(query.clauses, notes))
+
+
+def _lower_clauses(
+    clauses: tuple[Clause, ...], notes: list[str]
+) -> PhysicalOperator | None:
     node: PhysicalOperator | None = None
     bound: set[str] = set()
-    clauses = query.clauses
     i = 0
     while i < len(clauses):
         clause = clauses[i]
         if isinstance(clause, ForClause):
+            join = _join_block(clauses, i, bound)
+            if join is not None:
+                # The inner block lowers as a plan of its own: nothing is
+                # bound where it runs, so outer-keyed hints drop out.
+                size, inner_key, outer_key, probe = join
+                node = EquiJoin(
+                    subplan=_lower_clauses(clauses[i : i + size], notes),
+                    inner_key=inner_key,
+                    outer_key=outer_key,
+                    collection=clause.source.name,
+                    probe=probe,
+                    child=node,
+                )
+                notes.append(f"FOR {clause.var}: {node.label()}")
+                bound.update(
+                    c.var for c in clauses[i : i + size]
+                    if isinstance(c, (ForClause, LetClause))
+                )
+                i += size
+                continue
             node = NestedLoopBind(clause.var, _access_path(clause, bound), node)
             bound.add(clause.var)
         elif isinstance(clause, FilterClause):
@@ -578,7 +632,57 @@ def _lower(query: Query, notes: list[str]) -> PhysicalOperator:
         else:
             raise AssertionError(f"unknown clause {type(clause).__name__}")
         i += 1
-    return Project(query.returning, node)
+    return node
+
+
+def _join_block(
+    clauses: tuple[Clause, ...], i: int, bound: set[str]
+) -> tuple[int, Expr, Expr, NestedLoopBind | None] | None:
+    """Contract rule 5: ``(block size, inner key, outer key, index probe)``
+    when ``clauses[i]`` starts the inner side of an equi-join, else None."""
+    clause = clauses[i]
+    source = clause.source
+    if not bound or not isinstance(source, VarRef) or source.name in bound:
+        return None
+    hint = clause.index_hint
+    if hint is not None and free_variables(hint.key_expr):
+        # What used to be a correlated IndexEqLookup: the FOR alone is
+        # the inner side, so the join can probe the same index.
+        inner_key: Expr = VarRef(clause.var)
+        for part in hint.field.split("."):
+            inner_key = FieldAccess(inner_key, part)
+        probe = NestedLoopBind(
+            clause.var, IndexEqLookup(hint.collection, hint.field, hint.key_expr)
+        )
+        return 1, inner_key, hint.key_expr, probe
+    inner = {clause.var}
+    j = i + 1
+    while j < len(clauses):
+        c = clauses[j]
+        if isinstance(c, ForClause):
+            reads = free_variables(c.source)  # an unnest of the block's own rows
+        elif isinstance(c, LetClause):
+            reads = free_variables(c.value)
+        elif isinstance(c, FilterClause):
+            reads = free_variables(c.condition)
+        else:
+            break
+        if not reads <= inner or (isinstance(c, ForClause) and not reads):
+            break
+        if not isinstance(c, FilterClause):
+            inner.add(c.var)
+        j += 1
+    for filt in _lookahead_filters(clauses, j - 1):
+        for conjunct in _conjuncts(filt.condition):
+            if not (isinstance(conjunct, Binary) and conjunct.op == "=="):
+                continue
+            for lhs, rhs in (
+                (conjunct.left, conjunct.right), (conjunct.right, conjunct.left)
+            ):
+                inner_reads, outer_reads = free_variables(lhs), free_variables(rhs)
+                if inner_reads and outer_reads and inner_reads <= inner and outer_reads <= bound:
+                    return j - i, lhs, rhs, None
+    return None
 
 
 def _access_path(clause: ForClause, bound: set[str]) -> AccessPath:
@@ -586,11 +690,16 @@ def _access_path(clause: ForClause, bound: set[str]) -> AccessPath:
     if isinstance(source, VarRef) and source.name in bound:
         return ExpressionSource(source, is_var=True)
     if isinstance(source, VarRef):
-        if clause.index_hint is not None:
-            hint = clause.index_hint
+        # A hint is usable only where its keys can be evaluated: on the
+        # inner side of a join nothing outside the block is bound.
+        hint = clause.index_hint
+        if hint is not None and free_variables(hint.key_expr) <= bound:
             return IndexEqLookup(hint.collection, hint.field, hint.key_expr)
-        if clause.range_hint is not None:
-            rh = clause.range_hint
+        rh = clause.range_hint
+        if rh is not None and all(
+            free_variables(e) <= bound
+            for e in (rh.low_expr, rh.high_expr) if e is not None
+        ):
             return IndexRangeScan(
                 rh.collection, rh.field,
                 rh.low_expr, rh.high_expr, rh.include_low, rh.include_high,

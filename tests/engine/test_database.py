@@ -155,6 +155,38 @@ class TestXmlKvSession:
         with db.transaction() as tx:
             assert [k for k, _ in tx.kv_scan_prefix("kv", "a/")] == ["a/1", "a/2"]
 
+    @pytest.mark.parametrize("isolation", list(IsolationLevel))
+    def test_kv_scans_filter_keys_in_every_pass_of_the_scan(self, db, isolation):
+        """The key predicate runs inside Transaction.scan — before the
+        committed pass, the READ_UNCOMMITTED dirty-insert pass and the
+        write-set overlay — and must equal filtering a full scan."""
+        with db.transaction() as tx:
+            for k in ["a/1", "a/2", "a/3", "b/1", "c/1"]:
+                tx.kv_put("kv", k, {"v": k})
+        other = db.begin()
+        other.kv_put("kv", "a/9", "dirty insert")
+        other.kv_put("kv", "b/9", "dirty insert")
+        other.kv_put("kv", "a/2", "dirty update")
+        reader = db.begin(isolation)
+        reader.kv_put("kv", "a/0", "own insert")
+        reader.kv_put("kv", "c/0", "own insert")
+        reader.kv_put("kv", "a/1", "own update")
+        reader.kv_delete("kv", "a/3")
+        full = sorted(reader.txn.scan(Model.KEY_VALUE, "kv"))
+        assert reader.kv_scan_prefix("kv", "a/") == [
+            pair for pair in full if pair[0].startswith("a/")
+        ]
+        assert reader.kv_scan_range("kv", "a/1", "b/9") == [
+            pair for pair in full if "a/1" <= pair[0] < "b/9"
+        ]
+        assert reader.kv_scan_range("kv", "a/", "z", limit=2) == full[:2]
+        keys = [k for k, _ in reader.kv_scan_prefix("kv", "a/")]
+        dirty = isolation is IsolationLevel.READ_UNCOMMITTED
+        assert keys == ["a/0", "a/1", "a/2"] + (["a/9"] if dirty else [])
+        assert dict(full)["a/2"] == ("dirty update" if dirty else {"v": "a/2"})
+        other.abort()
+        reader.abort()
+
     def test_kv_requires_string_key(self, db):
         with db.transaction() as tx:
             with pytest.raises(Exception):

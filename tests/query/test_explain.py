@@ -9,6 +9,7 @@ back to a scan) fails loudly.
 from repro.query.parser import parse
 from repro.query.physical import (
     CollectionScan,
+    EquiJoin,
     Filter,
     FusedPipeline,
     HashAggregate,
@@ -83,10 +84,25 @@ class TestOperatorTree:
         root = root_of(
             "FOR u IN users FOR o IN orders FILTER o.user == u._id RETURN o"
         )
-        outer, inner, _filt, _project = root.ops
+        # The correlated equality lowers to the join, not to a bind over
+        # a per-row IndexEqLookup: residual filter above, outer FOR below.
+        filt, _project = root.ops
+        assert isinstance(filt, Filter) and not filt.speculative
+        join = root.child
+        assert isinstance(join, EquiJoin)
+        assert join.label() == (
+            "EquiJoin [o.user == u._id] (index orders.user, else hash build)"
+        )
+        # The index key it probes is the one IndexEqLookup used to carry.
+        probe = join.probe
+        assert isinstance(probe, NestedLoopBind) and probe.var == "o"
+        assert isinstance(probe.access, IndexEqLookup)
+        assert probe.access.field == "user"
+        # The inner side is the FOR alone, with no outer-keyed access path.
+        inner = join.subplan
         assert isinstance(inner, NestedLoopBind) and inner.var == "o"
-        assert isinstance(inner.access, IndexEqLookup)
-        assert inner.access.field == "user"
+        assert isinstance(inner.access, CollectionScan)
+        outer = join.child
         assert isinstance(outer, NestedLoopBind) and outer.var == "u"
         assert isinstance(outer.access, CollectionScan)
 
@@ -166,7 +182,13 @@ class TestOptimizerNotes:
         assert "pushdown: FILTER c.country == 'FI' hoisted before FOR o" in out
         # The hoisted conjunct makes the outer FOR indexable too.
         assert "IndexEqLookup [index: customers.country == 'FI']" in out
-        assert "IndexEqLookup [index: orders.customer_id == c.id]" in out
+        assert "FOR o: candidate index orders.customer_id (equality)" in out
+        assert (
+            "EquiJoin [o.customer_id == c.id] "
+            "(index orders.customer_id, else hash build)"
+        ) in out
+        # A correlated key never lowers to a per-row IndexEqLookup as well.
+        assert "IndexEqLookup [index: orders" not in out
 
     def test_dead_let_pruned(self):
         explained = plan(parse(
