@@ -10,8 +10,10 @@ join), plus the perf-regression smoke CI runs at SF=0.01:
   run the same algorithm: batch mode runs Q7's two ``EquiJoin``s on
   their hash side (one build per query), while ``use_batches=False`` is
   the reference mode that rebuilds the nested loop, so the ratio is
-  hash join + fusion over nested loop + interpreter — ~3x at smoke
-  scale, ~12x at SF 0.05, and growing with scale.  The floor still
+  hash join + fusion over nested loop + interpreter — ~2.5x at smoke
+  scale, ~10x at SF 0.05, and growing with scale (both sides borrow
+  the rows they scan, so neither side's time contains a per-row copy
+  any more; the ratio is evaluation work only).  The floor still
   catches the batch path losing its join or its kernels;
 - every mode must return identical results on every query the table
   times (the experiment raises otherwise).

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from repro.engine.database import MultiModelDatabase, Session
+from repro.engine.database import MultiModelDatabase, Session, _BorrowingSession
 from repro.engine.records import Model
 from repro.engine.transactions import IsolationLevel
 from repro.errors import NoSuchCollectionError, TransactionAborted
@@ -17,11 +17,17 @@ from repro.drivers.base import Driver
 
 
 class UnifiedQueryContext:
-    """QueryContext over one read-only snapshot session."""
+    """QueryContext over one read-only snapshot session.
+
+    The session borrows: everything this context yields is the store's
+    own object, read-only, and copied once by ``Executor.execute``.
+    """
 
     def __init__(self, db: MultiModelDatabase) -> None:
         self.db = db
-        self.session: Session = db.begin(IsolationLevel.SNAPSHOT)
+        self.session: Session = _BorrowingSession(
+            db, db.manager.begin(IsolationLevel.SNAPSHOT)
+        )
 
     def close(self) -> None:
         # The snapshot is read-only, so commit is free (no WAL record)

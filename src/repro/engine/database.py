@@ -23,7 +23,7 @@ recovery restores structure as well as data.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.engine.indexes import (
     BTreeIndex,
@@ -294,20 +294,7 @@ class MultiModelDatabase:
         db.catalog_epoch = 0
         db.store.on_apply.append(db._maintain_indexes)
         db.store.on_apply.append(db._maintain_adjacency)
-        max_ts = 0
-        for rec in wal.records():
-            if rec["type"] == "ddl":
-                db._replay_ddl(rec)
-        # Collapse the committed write history to one value per record
-        # (in commit order) so the state can be re-logged compactly.
-        final_state: dict[RecordKey, Any] = {}
-        for ts, key, value in wal.replay():
-            db.store.apply_committed_write(ts, key, value, txn_id=0)
-            final_state[key] = value
-            max_ts = max(max_ts, ts)
-            if key.model is Model.GRAPH_EDGE and isinstance(key.key, int):
-                db._next_edge_id = max(db._next_edge_id, key.key + 1)
-        db.manager.current_ts = max_ts
+        final_state = replay_log(db, wal, wal.records())
         # Re-log structure and final state into the fresh WAL so a second
         # crash also recovers (a compaction, effectively).
         for rec in wal.records():
@@ -316,7 +303,7 @@ class MultiModelDatabase:
         if final_state:
             for key, value in final_state.items():
                 fresh_wal.log_write(0, key, value)
-            fresh_wal.log_commit(0, max_ts)
+            fresh_wal.log_commit(0, db.manager.current_ts)
         return db
 
     def _replay_ddl(self, rec: dict[str, Any]) -> None:
@@ -422,6 +409,37 @@ class MultiModelDatabase:
         return edge_id
 
 
+def replay_log(
+    db: MultiModelDatabase, wal: WriteAheadLog, records: Iterable[dict[str, Any]]
+) -> dict[RecordKey, Any]:
+    """Whole-log redo onto an empty *db*: DDL, then committed writes.
+
+    The one replay shared by crash recovery and replica promotion.
+    *records* is the slice of *wal* whose DDL counts (recovery trusts
+    the durable prefix, promotion the whole shipped log).  Leaves the
+    commit clock at the highest replayed timestamp and the edge-id and
+    transaction-id counters past every id in the log; returns the
+    committed history collapsed to one value per record, in commit
+    order — what recovery re-logs as its compaction.
+    """
+    max_txn_id = 0
+    for rec in records:
+        if rec["type"] == "ddl":
+            db._replay_ddl(rec)
+        max_txn_id = max(max_txn_id, rec.get("txn") or 0)
+    final_state: dict[RecordKey, Any] = {}
+    max_ts = 0
+    for ts, key, value in wal.replay():
+        db.store.apply_committed_write(ts, key, value, txn_id=0)
+        final_state[key] = value
+        max_ts = max(max_ts, ts)
+        if key.model is Model.GRAPH_EDGE and isinstance(key.key, int):
+            db._next_edge_id = max(db._next_edge_id, key.key + 1)
+    db.manager.current_ts = max_ts
+    db.manager._next_txn_id = max_txn_id + 1
+    return final_state
+
+
 def redo_record(
     db: MultiModelDatabase,
     pending: dict[int, list[tuple[RecordKey, Any]]],
@@ -457,8 +475,13 @@ class Session:
     """The per-transaction multi-model API surface.
 
     Thin, validated wrappers that translate model operations into record
-    reads/writes on the underlying :class:`Transaction`.
+    reads/writes on the underlying :class:`Transaction`.  The transaction
+    hands back stored objects; every value a public read returns leaves
+    through :attr:`_out`, the one copy-out seam, so no caller can alias
+    committed state, a WAL record or another caller's result.
     """
+
+    _out = staticmethod(copy_value)
 
     def __init__(self, db: MultiModelDatabase, txn: Transaction) -> None:
         self.db = db
@@ -515,14 +538,14 @@ class Session:
 
     def sql_get(self, table: str, pk: tuple[Any, ...]) -> dict[str, Any] | None:
         self.db.table_schema(table)  # existence check
-        return self.txn.read(RecordKey(Model.RELATIONAL, table, tuple(pk)))
+        return self._out(self.txn.read(RecordKey(Model.RELATIONAL, table, tuple(pk))))
 
     def sql_update(
         self, table: str, pk: tuple[Any, ...], changes: dict[str, Any]
     ) -> dict[str, Any]:
         schema = self.db.table_schema(table)
         key = RecordKey(Model.RELATIONAL, table, tuple(pk))
-        row = self.txn.read(key)
+        row = copy_value(self.txn.read(key))
         if row is None:
             raise ConstraintError(f"no row {pk!r} in {table!r}")
         row.update(changes)
@@ -545,9 +568,10 @@ class Session:
         self, table: str, predicate: Predicate | None = None
     ) -> Iterator[dict[str, Any]]:
         self.db.table_schema(table)
+        out = self._out
         for _, row in self.txn.scan(Model.RELATIONAL, table):
             if predicate is None or predicate.matches(row):
-                yield row
+                yield out(row)
 
     def sql_find(self, table: str, field: str, value: Any) -> list[dict[str, Any]]:
         """Equality lookup, via a hash index when one exists."""
@@ -569,14 +593,14 @@ class Session:
 
     def doc_get(self, collection: str, doc_id: str | int) -> dict[str, Any] | None:
         self._require(Model.DOCUMENT, collection)
-        return self.txn.read(RecordKey(Model.DOCUMENT, collection, doc_id))
+        return self._out(self.txn.read(RecordKey(Model.DOCUMENT, collection, doc_id)))
 
     def doc_update(
         self, collection: str, doc_id: str | int, changes: dict[str, Any]
     ) -> dict[str, Any]:
         self._require(Model.DOCUMENT, collection)
         key = RecordKey(Model.DOCUMENT, collection, doc_id)
-        doc = self.txn.read(key)
+        doc = copy_value(self.txn.read(key))
         if doc is None:
             raise DocumentError(f"no document {doc_id!r} in {collection!r}")
         if changes.get("_id", doc_id) != doc_id:
@@ -597,8 +621,9 @@ class Session:
 
     def doc_scan(self, collection: str) -> Iterator[dict[str, Any]]:
         self._require(Model.DOCUMENT, collection)
+        out = self._out
         for _, doc in self.txn.scan(Model.DOCUMENT, collection):
-            yield doc
+            yield out(doc)
 
     def doc_find(self, collection: str, field: str, value: Any) -> list[dict[str, Any]]:
         """Equality lookup, via a hash index when one exists."""
@@ -615,7 +640,7 @@ class Session:
 
     def xml_get(self, collection: str, doc_id: str | int) -> XmlElement | None:
         self._require(Model.XML, collection)
-        return self.txn.read(RecordKey(Model.XML, collection, doc_id))
+        return self._out(self.txn.read(RecordKey(Model.XML, collection, doc_id)))
 
     def xml_delete(self, collection: str, doc_id: str | int) -> bool:
         self._require(Model.XML, collection)
@@ -628,14 +653,17 @@ class Session:
 
     def xml_scan(self, collection: str) -> Iterator[tuple[str | int, XmlElement]]:
         self._require(Model.XML, collection)
-        yield from self.txn.scan(Model.XML, collection)
+        out = self._out
+        for doc_id, tree in self.txn.scan(Model.XML, collection):
+            yield doc_id, out(tree)
 
     def xml_xpath(self, collection: str, doc_id: str | int, path: str) -> list[Any]:
         """Evaluate an XPath against one stored XML document."""
-        tree = self.xml_get(collection, doc_id)
+        self._require(Model.XML, collection)
+        tree = self.txn.read(RecordKey(Model.XML, collection, doc_id))
         if tree is None:
             return []
-        return XPath(path).find(tree)
+        return [self._out(hit) for hit in XPath(path).find(tree)]
 
     # -- key-value -----------------------------------------------------------------
 
@@ -650,7 +678,7 @@ class Session:
     def kv_get(self, namespace: str, key: str, default: Any = None) -> Any:
         self._require(Model.KEY_VALUE, namespace)
         value = self.txn.read(RecordKey(Model.KEY_VALUE, namespace, key))
-        return value if value is not None else default
+        return self._out(value) if value is not None else default
 
     def kv_delete(self, namespace: str, key: str) -> bool:
         self._require(Model.KEY_VALUE, namespace)
@@ -663,12 +691,9 @@ class Session:
 
     def kv_scan_prefix(self, namespace: str, prefix: str) -> list[tuple[str, Any]]:
         self._require(Model.KEY_VALUE, namespace)
-        out = list(self.txn.scan(
-            Model.KEY_VALUE, namespace,
-            lambda k: isinstance(k, str) and k.startswith(prefix),
-        ))
-        out.sort(key=lambda pair: pair[0])
-        return out
+        return self._kv_scan(
+            namespace, lambda k: isinstance(k, str) and k.startswith(prefix)
+        )
 
     def kv_scan_range(
         self, namespace: str, low: str, high: str, limit: int | None = None
@@ -677,12 +702,19 @@ class Session:
         self._require(Model.KEY_VALUE, namespace)
         if low > high:
             raise EngineError(f"bad kv range [{low!r}, {high!r})")
-        out = list(self.txn.scan(
-            Model.KEY_VALUE, namespace,
-            lambda k: isinstance(k, str) and low <= k < high,
-        ))
-        out.sort(key=lambda pair: pair[0])
-        return out if limit is None else out[:limit]
+        return self._kv_scan(
+            namespace, lambda k: isinstance(k, str) and low <= k < high, limit
+        )
+
+    def _kv_scan(
+        self, namespace: str, key_filter: Callable[[Any], bool], limit: int | None = None
+    ) -> list[tuple[str, Any]]:
+        """Key-ordered pairs of the keys *key_filter* accepts, copied out."""
+        pairs = sorted(
+            self.txn.scan(Model.KEY_VALUE, namespace, key_filter),
+            key=lambda pair: pair[0],
+        )
+        return [(key, self._out(value)) for key, value in pairs[:limit]]
 
     # -- graph ------------------------------------------------------------------------
 
@@ -702,12 +734,12 @@ class Session:
         value = self.txn.read(RecordKey(Model.GRAPH_VERTEX, graph, vertex_id))
         if value is None:
             return None
-        return Vertex(vertex_id, value["label"], value["props"])
+        return Vertex(vertex_id, value["label"], self._out(value["props"]))
 
     def graph_update_vertex(self, graph: str, vertex_id: Any, **changes: Any) -> Vertex:
         self._require_graph(graph)
         key = RecordKey(Model.GRAPH_VERTEX, graph, vertex_id)
-        value = self.txn.read(key)
+        value = copy_value(self.txn.read(key))
         if value is None:
             raise GraphError(f"no vertex {vertex_id!r} in {graph!r}")
         value["props"].update(changes)
@@ -718,9 +750,9 @@ class Session:
         self, graph: str, src: Any, dst: Any, label: str, **properties: Any
     ) -> Edge:
         self._require_graph(graph)
-        if self.graph_vertex(graph, src) is None:
+        if self.txn.read(RecordKey(Model.GRAPH_VERTEX, graph, src)) is None:
             raise GraphError(f"edge source {src!r} does not exist in {graph!r}")
-        if self.graph_vertex(graph, dst) is None:
+        if self.txn.read(RecordKey(Model.GRAPH_VERTEX, graph, dst)) is None:
             raise GraphError(f"edge target {dst!r} does not exist in {graph!r}")
         edge_id = self.db.allocate_edge_id()
         self.txn.declare_insert(Model.GRAPH_EDGE, graph)
@@ -781,7 +813,8 @@ class Session:
         """
         if min_depth < 0 or max_depth < min_depth:
             raise GraphError(f"bad depth range {min_depth}..{max_depth}")
-        if self.graph_vertex(graph, start) is None:
+        self._require_graph(graph)
+        if self.txn.read(RecordKey(Model.GRAPH_VERTEX, graph, start)) is None:
             raise GraphError(f"no vertex {start!r} in {graph!r}")
         return bfs_depth_range(
             start, min_depth, max_depth,
@@ -792,13 +825,13 @@ class Session:
         self._require_graph(graph)
         for vid, value in self.txn.scan(Model.GRAPH_VERTEX, graph):
             if label is None or value["label"] == label:
-                yield Vertex(vid, value["label"], value["props"])
+                yield Vertex(vid, value["label"], self._out(value["props"]))
 
     def graph_edges(self, graph: str, label: str | None = None) -> Iterator[Edge]:
         self._require_graph(graph)
         for eid, value in self.txn.scan(Model.GRAPH_EDGE, graph):
             if label is None or value["label"] == label:
-                yield Edge(eid, value["src"], value["dst"], value["label"], value["props"])
+                yield self._edge(eid, value)
 
     # -- internals ------------------------------------------------------------------------
 
@@ -829,10 +862,13 @@ class Session:
                 continue
             if label is not None and value["label"] != label:
                 continue
-            edges.append(
-                Edge(edge_id, value["src"], value["dst"], value["label"], value["props"])
-            )
+            edges.append(self._edge(edge_id, value))
         return edges
+
+    def _edge(self, edge_id: Any, value: dict[str, Any]) -> Edge:
+        return Edge(
+            edge_id, value["src"], value["dst"], value["label"], self._out(value["props"])
+        )
 
     def _indexed_find(
         self, model: Model, collection: str, field: str, value: Any
@@ -852,7 +888,7 @@ class Session:
                 seen_keys.add(record_key.key)
                 row = self.txn.read(record_key)
                 if row is not None and extract_path(row, field) == value:
-                    results.append(row)
+                    results.append(self._out(row))
             # Own uncommitted writes are not in the committed index.
             for record_key, buffered in self.txn.write_set.items():
                 if (
@@ -862,11 +898,11 @@ class Session:
                     and buffered is not None
                     and extract_path(buffered, field) == value
                 ):
-                    results.append(copy_value(buffered))
+                    results.append(self._out(buffered))
             return results
         for _, row in self.txn.scan(model, collection):
             if isinstance(row, dict) and extract_path(row, field) == value:
-                results.append(row)
+                results.append(self._out(row))
         return results
 
     def _require(self, model: Model, collection: str) -> None:
@@ -883,3 +919,13 @@ class Session:
         if meta is None:
             raise NoSuchCollectionError(f"no graph {graph!r}")
         return meta
+
+
+class _BorrowingSession(Session):
+    """The query engine's side of the seam: reads return stored objects.
+
+    Only :class:`~repro.drivers.unified.UnifiedQueryContext` opens one;
+    the rows a query returns are copied out by ``Executor.execute``.
+    """
+
+    _out = staticmethod(lambda value: value)

@@ -6,6 +6,11 @@ addressed by a :class:`RecordKey` and stored as a :class:`VersionChain`
 of timestamped immutable values.  This single abstraction is what makes
 cross-model transactions natural: the transaction layer never needs to
 know which model a record belongs to.
+
+Ownership rule: a value is copied in at ``Transaction.write``, copied
+out at ``Session``'s public accessors and at ``Executor.execute``'s
+result, immutable and shared in between (write set, version chain,
+scans, operators), and never handed to a caller uncopied.
 """
 
 from __future__ import annotations
@@ -52,8 +57,10 @@ def copy_value(value: Any) -> Any:
     """Deep-copy a record value of any model.
 
     JSON-ish values are copied structurally; XML trees are rebuilt node by
-    node.  Copying on both write and read is what gives the engine its
-    immutability guarantee: no caller can mutate committed state in place.
+    node.  This is the copy of the ownership rule above: once on the way
+    in (``Transaction.write``), once on the way out (``Session``
+    accessors; ``Executor.execute`` for query rows) — never per record
+    touched, since everything in between only reads.
     """
     if isinstance(value, XmlElement):
         return XmlElement(

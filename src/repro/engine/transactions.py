@@ -151,25 +151,27 @@ class Transaction:
     # -- core record operations --------------------------------------------
 
     def read(self, key: RecordKey) -> Any:
-        """Read one record under this transaction's isolation level."""
+        """Read one record under this transaction's isolation level.
+
+        Returns the stored object itself — borrowed, shared with the
+        store and never to be mutated (the ownership rule of
+        :mod:`repro.engine.records`); ``Session`` copies it out.
+        """
         self._check_active()
         if key in self.write_set:
-            value = self.write_set[key]
-            return copy_value(value) if value is not None else None
+            return self.write_set[key]
         if self.isolation is IsolationLevel.SERIALIZABLE:
             self.manager.locks.acquire(self.txn_id, key, LockMode.SHARED)
         self.read_set.add(key)
         if self.isolation is IsolationLevel.READ_UNCOMMITTED:
             dirty = self.manager.latest_dirty_write(key, exclude=self.txn_id)
             if dirty is not _MISSING:
-                return copy_value(dirty) if dirty is not None else None
+                return dirty
         chain = self.manager.store.chain(key)
         if chain is None:
             return None
         version = chain.visible_at(self._read_ts())
-        if version is None or version.value is None:
-            return None
-        return copy_value(version.value)
+        return version.value if version is not None else None
 
     def write(self, key: RecordKey, value: Any) -> None:
         """Buffer a write (value None = delete) in the private write set."""
@@ -190,9 +192,11 @@ class Transaction:
         """Yield (key, value) for every record visible in a collection.
 
         Own buffered writes overlay the committed state: additions appear,
-        deletions disappear, updates show the new value.  *key_filter*
+        deletions disappear, updates show the new value — for writes made
+        while the scan is suspended too, from the next record on.  *key_filter*
         narrows the scan to the raw keys it accepts, tested before any
-        visibility check or value copy is spent on a record.
+        visibility check is spent on a record.  Values are borrowed,
+        exactly as :meth:`read` hands them back.
         """
         self._check_active()
         if self.isolation is IsolationLevel.SERIALIZABLE:
@@ -205,25 +209,34 @@ class Transaction:
             if self.manager.store.has_collection(model, collection)
             else {}
         )
-        emitted: set[Any] = set()
+        write_set = self.write_set
+        dirty_reads = self.isolation is IsolationLevel.READ_UNCOMMITTED
+        emitted: set[Any] = set()  # only the dirty-insert pass reads it
         for raw_key, chain in list(coll.items()):
             if key_filter is not None and not key_filter(raw_key):
                 continue
-            record_key = RecordKey(model, collection, raw_key)
-            if record_key in self.write_set:
-                continue  # handled by the overlay pass below
-            if self.isolation is IsolationLevel.READ_UNCOMMITTED:
-                dirty = self.manager.latest_dirty_write(record_key, exclude=self.txn_id)
-                if dirty is not _MISSING:
-                    if dirty is not None:
-                        emitted.add(raw_key)
-                        yield raw_key, copy_value(dirty)
-                    continue
+            if write_set or dirty_reads:
+                # Tested per record, not per scan: a query snapshot (nothing
+                # buffered, ever) never builds a RecordKey, and a write made
+                # while this generator is suspended still overlays.
+                record_key = RecordKey(model, collection, raw_key)
+                if record_key in write_set:
+                    continue  # handled by the overlay pass below
+                if dirty_reads:
+                    dirty = self.manager.latest_dirty_write(
+                        record_key, exclude=self.txn_id
+                    )
+                    if dirty is not _MISSING:
+                        if dirty is not None:
+                            emitted.add(raw_key)
+                            yield raw_key, dirty
+                        continue
             version = chain.visible_at(read_ts)
             if version is not None and version.value is not None:
-                emitted.add(raw_key)
-                yield raw_key, copy_value(version.value)
-        if self.isolation is IsolationLevel.READ_UNCOMMITTED:
+                if dirty_reads:
+                    emitted.add(raw_key)
+                yield raw_key, version.value
+        if dirty_reads:
             # Dirty *inserts* by other active transactions have no chain
             # yet, so the committed pass above cannot surface them.
             for record_key, value in self.manager.dirty_inserts(
@@ -236,13 +249,13 @@ class Transaction:
                     and (key_filter is None or key_filter(record_key.key))
                 ):
                     emitted.add(record_key.key)
-                    yield record_key.key, copy_value(value)
+                    yield record_key.key, value
         for record_key, value in list(self.write_set.items()):
             if record_key.model is model and record_key.collection == collection:
                 if value is not None and (
                     key_filter is None or key_filter(record_key.key)
                 ):
-                    yield record_key.key, copy_value(value)
+                    yield record_key.key, value
 
     def declare_insert(self, model: Model, collection: str) -> None:
         """Serializable phantom protection for an insert/delete."""

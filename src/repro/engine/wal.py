@@ -294,7 +294,8 @@ class WriteAheadLog:
         is the redo pass of ARIES restricted to redo-only logging (no
         undo needed because uncommitted writes never reach the store).
         Within a transaction, write order is preserved; transactions are
-        yielded in commit-timestamp order.
+        yielded in commit-timestamp order.  Values are the log records'
+        own (``log_write`` copied them in): read-only to the caller.
         """
         committed = self.committed_transactions()
         writes: dict[int, list[tuple[RecordKey, Any]]] = {}
@@ -304,7 +305,7 @@ class WriteAheadLog:
         for txn_id in sorted(committed, key=lambda t: committed[t]):
             ts = committed[txn_id]
             for key, value in writes.get(txn_id, []):
-                yield ts, key, copy_value(value)
+                yield ts, key, value
 
     # -- log shipping (replication) -------------------------------------------
 

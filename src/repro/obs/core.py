@@ -43,6 +43,7 @@ _STAT_COUNTERS = {
     "join_build_rows": "repro_exec_join_build_rows_total",
     "join_index_probes": "repro_exec_join_index_probes_total",
     "join_unhashable_rows": "repro_exec_join_unhashable_rows_total",
+    "rows_copied_out": "repro_exec_rows_copied_out_total",
     "shard_fanout": "repro_exec_shard_fanout_total",
 }
 

@@ -139,6 +139,7 @@ def explain_analyze(
     results: list[Any] = []
     for batch in counted.run_batches(executor, params or {}):
         results.extend(batch)
+    results = executor._copy_out(results)
     lines = ["plan (analyzed):"]
     lines.extend("  " + line for line in render_analyzed(counted, executor.observed))
     if planned.notes:

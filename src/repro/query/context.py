@@ -12,7 +12,14 @@ from typing import Any, Iterable, Protocol
 
 
 class QueryContext(Protocol):
-    """Data access surface for the MMQL executor."""
+    """Data access surface for the MMQL executor.
+
+    Everything a context yields is read-only and owned by the store: a
+    context may hand out the committed objects themselves, and only
+    ``Executor.execute`` copies the rows it returns.  A caller that
+    reads a context directly and wants to edit what it got deep-copies
+    it first.
+    """
 
     def iter_collection(self, name: str) -> Iterable[Any]:
         """Iterate a named collection.

@@ -23,7 +23,9 @@ What remains here is the *runtime* the operators call back into:
   ``scans``, ``rows_scanned``) that the benchmarks and tests assert on,
   plus the counted fallbacks: ``index_fallback_scans`` (an index hint
   that found no index and scanned) and the ``join_*`` counters saying
-  which side of each :class:`~repro.query.physical.EquiJoin` ran.
+  which side of each :class:`~repro.query.physical.EquiJoin` ran, and
+  ``rows_copied_out`` (rows deep-copied at the result boundary — set
+  against ``rows_scanned`` it states what borrowing reads saves).
 - ``use_indexes`` — the E1 ablation switch; when off, index access paths
   degrade to scans at run time without replanning.
 """
@@ -32,7 +34,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.engine.records import copy_value
 from repro.errors import ExecutionError
+from repro.models.xml.node import XmlElement, XmlText
 from repro.query import functions
 from repro.query.ast import (
     Binary,
@@ -112,7 +116,7 @@ class Executor:
             "index_lookups": 0, "range_lookups": 0, "scans": 0, "rows_scanned": 0,
             "scan_cache_hits": 0, "index_fallback_scans": 0,
             "join_builds": 0, "join_build_rows": 0, "join_index_probes": 0,
-            "join_unhashable_rows": 0,
+            "join_unhashable_rows": 0, "rows_copied_out": 0,
         }
         # Batch-mode scan materialization: collection name -> the scanned
         # block, so nested-loop inner scans re-serve one materialized
@@ -148,6 +152,10 @@ class Executor:
         a ``cached`` attr) and an ``execute`` span covering the drain —
         scatter operators hang their per-shard subspans below the
         latter.
+
+        The context lends its rows (they are the store's own objects);
+        the returned list is the one place they are copied, so callers
+        own every value in it outright.
         """
         tracer = self.tracer
         if tracer is None:
@@ -176,14 +184,19 @@ class Executor:
         if prepared.binds:
             run_params.update(prepared.binds)
         if tracer is None:
-            return self._drain(prepared.plan.root, run_params)
+            return self._copy_out(self._drain(prepared.plan.root, run_params))
         span = tracer.push("execute")
         try:
-            result = self._drain(prepared.plan.root, run_params)
+            result = self._copy_out(self._drain(prepared.plan.root, run_params))
             span.attrs["rows"] = len(result)
         finally:
             tracer.pop()
         return result
+
+    def _copy_out(self, rows: list[Any]) -> list[Any]:
+        """The result boundary: deep-copy *rows*, counted in ``stats``."""
+        self.stats["rows_copied_out"] += len(rows)
+        return [_copy_result(row) for row in rows]
 
     def run_subquery(
         self, query: Query, binding: Binding, params: dict[str, Any]
@@ -319,6 +332,18 @@ class Executor:
 
 def _truthy(value: Any) -> bool:
     return bool(value)
+
+
+def _copy_result(value: Any) -> Any:
+    """Deep copy of one result value: JSON containers with XML nodes at
+    any depth (``{"_id": …, "root": <XmlElement>}``, XPATH hits, groups)."""
+    if isinstance(value, dict):
+        return {key: _copy_result(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_result(item) for item in value]
+    if isinstance(value, (XmlElement, XmlText)):
+        return copy_value(value)
+    return value
 
 
 def run_query(

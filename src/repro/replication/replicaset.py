@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable
 
-from repro.engine.database import MultiModelDatabase, redo_record
-from repro.engine.records import Model, RecordKey
+from repro.engine.database import MultiModelDatabase, redo_record, replay_log
+from repro.engine.records import RecordKey
 from repro.engine.transactions import Store, TransactionManager
 from repro.engine.wal import WriteAheadLog
 from repro.errors import ClusterError, QuorumLostError
@@ -599,20 +599,5 @@ def _rebuild_leader_db(
     db.catalog_epoch = 0
     db.store.on_apply.append(db._maintain_indexes)
     db.store.on_apply.append(db._maintain_adjacency)
-    max_txn_id = 0
-    for rec in wal.records_from(0):
-        if rec["type"] == "ddl":
-            db._replay_ddl(rec)
-        txn_id = rec.get("txn")
-        if txn_id is not None and txn_id > max_txn_id:
-            max_txn_id = txn_id
-    max_ts = 0
-    for ts, key, value in wal.replay():
-        db.store.apply_committed_write(ts, key, value, txn_id=0)
-        if ts > max_ts:
-            max_ts = ts
-        if key.model is Model.GRAPH_EDGE and isinstance(key.key, int):
-            db._next_edge_id = max(db._next_edge_id, key.key + 1)
-    db.manager.current_ts = max_ts
-    db.manager._next_txn_id = max_txn_id + 1
+    replay_log(db, wal, wal.records_from(0))
     return db

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import EvolutionError
+from repro.models.document.document import deep_copy_json
 from repro.schema.registry import SchemaRegistry
 
 VERSION_FIELD = "_sv"
@@ -84,7 +85,7 @@ class LazyMigrator:
         ctx = self.driver.query_context()
         try:
             for doc in ctx.iter_collection(self.collection):
-                upgraded, _ = self._upgrade(dict(doc), target)
+                upgraded, _ = self._upgrade(deep_copy_json(doc), target)
                 out.append(upgraded)
                 self.stats.reads += 1
         finally:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import EvolutionError
+from repro.models.document.document import deep_copy_json
 from repro.schema.evolution import EvolutionOp
 from repro.schema.shapes import DocumentShape
 
@@ -106,7 +107,7 @@ def migrate_collection(driver: Any, collection: str, ops: list[EvolutionOp]) -> 
     start = time.perf_counter()
     ctx = driver.query_context()
     try:
-        docs = [dict(d) for d in ctx.iter_collection(collection)]
+        docs = [deep_copy_json(d) for d in ctx.iter_collection(collection)]
     finally:
         close = getattr(ctx, "close", None)
         if close is not None:

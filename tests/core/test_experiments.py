@@ -63,20 +63,26 @@ class TestE1:
         assert all(r["rows"] > 0 for r in records)
 
     def test_indexes_help_the_join_queries(self):
-        # Warm, repeated and at SF 0.1: a ratio of two cold single runs
+        # Warm, repeated and at SF >= 0.1: a ratio of two cold single runs
         # on 90 orders says nothing about either access path.
-        table = experiment_e1_queries(BenchmarkConfig(
-            generator=GeneratorConfig(seed=42, scale_factor=0.1),
-            repetitions=3, transaction_count=12,
-        ))
-        by_id = {r["query"]: r for r in table.to_records()}
+        def e1(scale_factor):
+            table = experiment_e1_queries(BenchmarkConfig(
+                generator=GeneratorConfig(seed=42, scale_factor=scale_factor),
+                repetitions=3, transaction_count=12,
+            ))
+            return {r["query"]: r for r in table.to_records()}
+
         # Where the probe is selective (one order by _id) the index
-        # must still win clearly.
+        # must still win clearly.  Measured at SF 0.3: a scan borrows
+        # its rows, so the 900 orders of SF 0.1 scan in 0.3 ms and the
+        # probe's win over them (2-2.5x on Q10) is inside the noise.
+        by_id = e1(0.3)
         for qid in ("Q1", "Q10"):
             assert by_id[qid]["unified"] * 2 < by_id[qid]["unified_noidx"]
         # The joins no longer need it to stay cheap: without an index
         # Q2/Q4 hash orders once instead of scanning them per customer,
         # and Q7 never had one.
+        by_id = e1(0.1)
         for qid in ("Q2", "Q4", "Q7"):
             assert by_id[qid]["unified_noidx"] < by_id[qid]["unified"] * 5
 

@@ -187,6 +187,43 @@ class TestXmlKvSession:
         other.abort()
         reader.abort()
 
+    @pytest.mark.parametrize("isolation", list(IsolationLevel))
+    def test_kv_scans_of_a_transaction_with_nothing_buffered(self, db, isolation):
+        """The same differential for a reader that has written nothing:
+        below READ_UNCOMMITTED its scan is the committed pass alone (no
+        write-set probe, no overlay) — same contract, same rows."""
+        with db.transaction() as tx:
+            for k in ["a/1", "a/2", "a/3", "b/1", "c/1"]:
+                tx.kv_put("kv", k, {"v": k})
+        reader = db.begin(isolation)
+        other = db.begin()
+        other.kv_put("kv", "a/9", "dirty insert")
+        other.kv_put("kv", "a/2", "dirty update")
+        other.kv_delete("kv", "a/3")
+        with db.transaction() as tx:
+            tx.kv_delete("kv", "b/1")
+            tx.kv_put("kv", "a/5", "committed after the reader began")
+        full = sorted(reader.txn.scan(Model.KEY_VALUE, "kv"))
+        assert reader.kv_scan_prefix("kv", "a/") == [
+            pair for pair in full if pair[0].startswith("a/")
+        ]
+        assert reader.kv_scan_range("kv", "a/2", "c/") == [
+            pair for pair in full if "a/2" <= pair[0] < "c/"
+        ]
+        assert reader.kv_scan_range("kv", "a/", "z", limit=2) == full[:2]
+        expected = {
+            IsolationLevel.READ_UNCOMMITTED: ["a/1", "a/2", "a/5", "a/9", "c/1"],
+            IsolationLevel.READ_COMMITTED: ["a/1", "a/2", "a/3", "a/5", "c/1"],
+            IsolationLevel.SNAPSHOT: ["a/1", "a/2", "a/3", "b/1", "c/1"],
+            IsolationLevel.SERIALIZABLE: ["a/1", "a/2", "a/3", "a/5", "c/1"],
+        }
+        assert [k for k, _ in full] == expected[isolation]
+        dirty = isolation is IsolationLevel.READ_UNCOMMITTED
+        assert dict(full)["a/2"] == ("dirty update" if dirty else {"v": "a/2"})
+        assert not reader.txn.write_set
+        other.abort()
+        reader.abort()
+
     def test_kv_requires_string_key(self, db):
         with db.transaction() as tx:
             with pytest.raises(Exception):
