@@ -1,9 +1,9 @@
 """Compiled MMQL hot path: closure-compiled expressions + plan cache.
 
 Per-case timings of the E13 experiment table (expression-heavy per-row
-evaluation interpreted vs compiled, end-to-end query ablations, and
-plan-cache hit vs cold plan latency), plus the perf-regression smoke CI
-runs at SF=0.01:
+evaluation, reference interpreter vs compiled closure, and plan-cache
+hit vs cold plan latency), plus the perf-regression smoke CI runs at
+SF=0.01:
 
 - the **per-row speedup** of compiled vs interpreted evaluation on the
   expression-heavy predicate must stay above
@@ -11,12 +11,11 @@ runs at SF=0.01:
   measured ~3x, so CI flags a real regression rather than host noise);
 - a **plan-cache hit** must be at least 10x cheaper than a cold
   parse+plan of the same text;
-- compiled and interpreted evaluation must return identical results on
-  every query the table times (the experiment raises otherwise).
+- compiled and interpreted evaluation must return identical values on
+  the rows the table warms up with (the experiment raises otherwise).
 
-Scale: ``BENCH_COMPILE_SF`` (default 0.05; CI smoke uses 0.01) sizes
-the dataset for the end-to-end rows; the per-row and plan-cache rows
-are dataset-size independent.
+Scale: ``BENCH_COMPILE_SF`` (default 0.05; CI smoke uses 0.01) labels
+the table; both rows are dataset-size independent.
 """
 
 import os

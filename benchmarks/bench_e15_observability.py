@@ -14,8 +14,8 @@ Regenerates the E15 table (disabled vs metrics vs tracing on the
   (ShardExec span with one timed ``shard-N`` subspan per shard).
 
 The measurement is noise-hardened two ways.  Within a trial, modes are
-interleaved every round and the table keeps per-mode minima (the E13/
-E14 pattern), so a host hiccup cannot brand one mode slow.  Across
+interleaved every round and the table keeps per-mode minima (the E16
+pattern), so a host hiccup cannot brand one mode slow.  Across
 trials, the gate is best-of-``BENCH_OBS_TRIALS``: the measured margin
 (~1-4% overhead vs the 5% ceiling) is real but thinner than CI-runner
 jitter, and a genuine regression fails *every* trial while a noise

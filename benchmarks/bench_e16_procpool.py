@@ -15,7 +15,7 @@ amplified E10 scan mix) and gates two things:
   1-CPU host runs the full protocol, checks parity, prints the table,
   and skips the floor rather than asserting fiction.
 
-Noise discipline matches E14/E15: rounds interleave the two pools and
+Noise discipline matches E15: rounds interleave the two pools and
 the table keeps per-case minima; across trials the gate is
 best-of-``BENCH_PROC_TRIALS``, so a scheduler hiccup fails one trial,
 not the bench.  ``BENCH_PROC_SF`` / ``BENCH_PROC_MIN_ROWS`` size the

@@ -45,7 +45,7 @@ from typing import Any
 
 from repro.cluster.remote import PICKLE_PROTOCOL, plan_digest
 from repro.query.ast import Expr, SortKey
-from repro.query.compile import compile_expr, evaluator
+from repro.query.compile import compile_expr
 from repro.query.physical import (
     DEFAULT_BATCH_SIZE,
     Binding,
@@ -54,33 +54,26 @@ from repro.query.physical import (
     batch_size,
     compile_sort_keys,
     render_expr,
-    sort_evaluator,
 )
 
 
 class _ShardRuntime:
     """Executor facade for one shard worker: shard-local ctx + stats.
 
-    Expression evaluation delegates to the parent executor (cheap
-    expressions are pure), while ``ctx`` points at the shard's own
-    context so access paths scan/probe only that shard's data.
+    ``ctx`` points at the shard's own context so access paths scan/probe
+    only that shard's data; compiled closures are pure plan-time state,
+    safe to share per worker.
     """
 
     __slots__ = (
-        "_parent", "ctx", "use_indexes", "use_compiled", "use_batches",
-        "use_fusion", "batch_size", "stats", "analyze", "observed",
-        "scan_cache", "tracer", "obs", "trace_id",
+        "_parent", "ctx", "use_indexes", "batch_size", "stats", "analyze",
+        "observed", "scan_cache", "tracer", "obs", "trace_id",
     )
 
     def __init__(self, parent: Any, ctx: Any, stats: dict[str, int]) -> None:
         self._parent = parent
         self.ctx = ctx
         self.use_indexes = parent.use_indexes
-        # Compiled closures are pure plan-time state, safe per worker;
-        # the ablation flags ride along from the parent executor.
-        self.use_compiled = getattr(parent, "use_compiled", True)
-        self.use_batches = getattr(parent, "use_batches", True)
-        self.use_fusion = getattr(parent, "use_fusion", True)
         self.batch_size = getattr(parent, "batch_size", DEFAULT_BATCH_SIZE)
         self.stats = stats
         self.analyze = getattr(parent, "analyze", False)
@@ -99,9 +92,6 @@ class _ShardRuntime:
         self.tracer = None
         self.obs = None
         self.trace_id = getattr(parent, "trace_id", None)
-
-    def eval_expr(self, expr: Expr, binding: Binding, params: dict[str, Any]) -> Any:
-        return self._parent.eval_expr(expr, binding, params)
 
     def run_subquery(self, query: Any, binding: Binding, params: dict[str, Any]) -> Any:
         # Subqueries are never pushed below the gather (not "cheap"),
@@ -161,26 +151,13 @@ def _observed_task(task, scatter_span, shard_id, latencies, waits, index):
     return run_task
 
 
-def _traced_routed_stream(stream, scatter_span, shard_id):
-    """Stream the routed single-shard path under its shard span.
+def _traced_routed_batches(stream, scatter_span, shard_id):
+    """Stream the routed single-shard path's batches under its shard span.
 
     The routed path never materialises, so the span's elapsed covers
     the full pull-through (including parent consumption) — labelled
     ``routed=True`` to distinguish it from worker-measured drains.
     """
-    span = scatter_span.child(f"shard-{shard_id}", shard=shard_id, routed=True)
-    started = perf_counter()
-    rows = 0
-    for item in stream:
-        rows += 1
-        yield item
-    span.attrs["rows"] = rows
-    span.finish_at(perf_counter() - started)
-    scatter_span.finish()
-
-
-def _traced_routed_batches(stream, scatter_span, shard_id):
-    """Batch-mode twin of :func:`_traced_routed_stream`."""
     span = scatter_span.child(f"shard-{shard_id}", shard=shard_id, routed=True)
     started = perf_counter()
     rows = 0
@@ -225,59 +202,16 @@ class ShardExec(PhysicalOperator):
                 self, name, compile_expr(expr) if expr is not None else None
             )
 
-    def run(self, rt, params, seed=None):
-        ctx = rt.ctx  # ShardedQueryContext
-        targets = self._targets(rt, ctx, params, seed)
-        rt.stats["shard_fanout"] = rt.stats.get("shard_fanout", 0) + len(targets)
-        scatter_span, obs = self._observe_scatter(rt, targets)
-        if len(targets) == 1:
-            # Routed (or shadowed-variable) execution: stream straight
-            # through the single shard, no pool and no materialisation.
-            shard_rt = _ShardRuntime(rt, ctx.shard_context(targets[0]), rt.stats)
-            stream = self.subplan.run(shard_rt, params, seed)
-            if scatter_span is None:
-                yield from stream
-            else:
-                yield from _traced_routed_stream(stream, scatter_span, targets[0])
-            return
-        chunks = self._scatter(
-            rt, ctx, targets, params, seed, scatter_span, obs, batch_mode=False
-        )
-        if scatter_span is None:
-            if self.merge_keys:
-                keyfn = sort_evaluator(rt, self._c_merge, self.merge_keys)
-                yield from heapq.merge(*chunks, key=lambda b: keyfn(rt, b, params))
-            else:
-                for chunk in chunks:
-                    yield from chunk
-            return
-        gather_span = scatter_span.child(
-            "gather", mode="merge" if self.merge_keys else "concat"
-        )
-        gather_started = perf_counter()
-        rows = 0
-        if self.merge_keys:
-            keyfn = sort_evaluator(rt, self._c_merge, self.merge_keys)
-            for binding in heapq.merge(*chunks, key=lambda b: keyfn(rt, b, params)):
-                rows += 1
-                yield binding
-        else:
-            for chunk in chunks:
-                rows += len(chunk)
-                yield from chunk
-        gather_span.attrs["rows"] = rows
-        gather_span.finish_at(perf_counter() - gather_started)
-        scatter_span.finish()
-
     def run_batches(self, rt, params, seed=None):
-        """Batch-mode gather: whole batches cross the shard boundary.
+        """Scatter, then gather: whole batches cross the shard boundary.
 
-        Each shard worker drains its subplan's ``run_batches`` stream, so
-        the per-shard pipelines (fused or not) run vectorized; the gather
-        then re-chunks the merged/concatenated rows to the parent's batch
-        size.  Same routing, stats and ordering as :meth:`run`.
+        Each shard worker drains its subplan's ``run_batches`` stream;
+        the gather then re-chunks the merged/concatenated rows to the
+        parent's batch size.  A single target (routed, or a shadowing
+        seed) streams straight through that shard — no pool and no
+        materialisation.
         """
-        ctx = rt.ctx
+        ctx = rt.ctx  # ShardedQueryContext
         targets = self._targets(rt, ctx, params, seed)
         rt.stats["shard_fanout"] = rt.stats.get("shard_fanout", 0) + len(targets)
         scatter_span, obs = self._observe_scatter(rt, targets)
@@ -289,9 +223,7 @@ class ShardExec(PhysicalOperator):
             else:
                 yield from _traced_routed_batches(stream, scatter_span, targets[0])
             return
-        chunks = self._scatter(
-            rt, ctx, targets, params, seed, scatter_span, obs, batch_mode=True
-        )
+        chunks = self._scatter(rt, ctx, targets, params, seed, scatter_span, obs)
         size = batch_size(rt)
         gather_span = None
         if scatter_span is not None:
@@ -302,7 +234,7 @@ class ShardExec(PhysicalOperator):
             )
             gather_started = perf_counter()
         if self.merge_keys:
-            keyfn = sort_evaluator(rt, self._c_merge, self.merge_keys)
+            keyfn = self._c_merge
             merged = heapq.merge(*chunks, key=lambda b: keyfn(rt, b, params))
             yield from _chunks(merged, size)
         else:
@@ -312,9 +244,7 @@ class ShardExec(PhysicalOperator):
             gather_span.finish_at(perf_counter() - gather_started)
             scatter_span.finish()
 
-    def _scatter(
-        self, rt, ctx, targets, params, seed, scatter_span, obs, batch_mode
-    ):
+    def _scatter(self, rt, ctx, targets, params, seed, scatter_span, obs):
         """Run the subplan once per target shard; return per-shard row lists.
 
         The dispatch seam between shard *placement* (``_targets``) and
@@ -350,7 +280,7 @@ class ShardExec(PhysicalOperator):
             tasks = [
                 self._local_task(
                     _ShardRuntime(rt, ctx.shard_context(i), _fresh_stats()),
-                    params, seed, batch_mode,
+                    params, seed,
                 )
                 for i in targets
             ]
@@ -358,15 +288,12 @@ class ShardExec(PhysicalOperator):
             encoded, digest = wire
             flags = {
                 "use_indexes": getattr(rt, "use_indexes", True),
-                "use_compiled": getattr(rt, "use_compiled", True),
-                "use_batches": getattr(rt, "use_batches", True),
-                "use_fusion": getattr(rt, "use_fusion", True),
                 "batch_size": batch_size(rt),
             }
             tasks = [
                 self._remote_task(
                     remote, shard_id, encoded, digest, params, seed, flags,
-                    batch_mode, trace=scatter_span is not None,
+                    trace=scatter_span is not None,
                 )
                 for shard_id in targets
             ]
@@ -396,32 +323,23 @@ class ShardExec(PhysicalOperator):
                 observe_wait(wait)
         return [rows for rows, _, _ in outcomes]
 
-    def _local_task(self, srt, params, seed, batch_mode):
+    def _local_task(self, srt, params, seed):
         """In-process thunk for one shard: run the subplan on its runtime."""
         def task():
-            if batch_mode:
-                rows: list[Binding] = []
-                for batch in self.subplan.run_batches(
-                    srt, params, dict(seed) if seed else None
-                ):
-                    rows.extend(batch)
-            else:
-                rows = list(
-                    self.subplan.run(srt, params, dict(seed) if seed else None)
-                )
+            rows: list[Binding] = []
+            for batch in self.subplan.run_batches(
+                srt, params, dict(seed) if seed else None
+            ):
+                rows.extend(batch)
             return rows, srt.stats, None
 
         return task
 
-    def _remote_task(
-        self, pool, shard_id, encoded, digest, params, seed, flags,
-        batch_mode, trace,
-    ):
+    def _remote_task(self, pool, shard_id, encoded, digest, params, seed, flags, trace):
         """Process-pool thunk for one shard: ship the subplan, gather rows."""
         def task():
             result = pool.run_subplan(
-                shard_id, encoded, digest, params, seed, flags,
-                batch_mode=batch_mode, trace=trace,
+                shard_id, encoded, digest, params, seed, flags, trace=trace
             )
             return result.rows, result.stats, result
 
@@ -476,22 +394,17 @@ class ShardExec(PhysicalOperator):
             # it exactly once.
             return [0]
         if self.route_expr is not None:
-            value = evaluator(rt, self._c_route, self.route_expr)(
-                rt, dict(seed or {}), params
-            )
+            value = self._c_route(rt, dict(seed or {}), params)
             return [ctx.catalog.shard_for(self.collection, value)]
         if self.range_field is not None:
+            binding = dict(seed or {})
             low = (
-                evaluator(rt, self._c_range_low, self.range_low)(
-                    rt, dict(seed or {}), params
-                )
-                if self.range_low is not None else None
+                self._c_range_low(rt, binding, params)
+                if self._c_range_low is not None else None
             )
             high = (
-                evaluator(rt, self._c_range_high, self.range_high)(
-                    rt, dict(seed or {}), params
-                )
-                if self.range_high is not None else None
+                self._c_range_high(rt, binding, params)
+                if self._c_range_high is not None else None
             )
             pruned = ctx.catalog.shards_for_range(self.collection, low, high)
             if pruned is not None:

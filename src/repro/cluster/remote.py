@@ -291,9 +291,6 @@ def _handle_run(
     executor = Executor(
         replica.context(),
         use_indexes=flags["use_indexes"],
-        use_compiled=flags["use_compiled"],
-        use_batches=flags["use_batches"],
-        use_fusion=flags["use_fusion"],
         batch_size=flags["batch_size"],
     )
     params = payload["params"]
@@ -304,12 +301,9 @@ def _handle_run(
 
         span = Span("worker", shard=shard_id, pid=os.getpid())
     started = perf_counter()
-    if payload["batch_mode"]:
-        rows: list[Any] = []
-        for batch in plan.run_batches(executor, params, dict(seed) if seed else None):
-            rows.extend(batch)
-    else:
-        rows = list(plan.run(executor, params, dict(seed) if seed else None))
+    rows: list[Any] = []
+    for batch in plan.run_batches(executor, params, dict(seed) if seed else None):
+        rows.extend(batch)
     elapsed = perf_counter() - started
     if span is not None:
         span.attrs["rows"] = len(rows)
@@ -641,7 +635,6 @@ class ProcessShardPool:
         params: dict[str, Any] | None,
         seed: dict[str, Any] | None,
         flags: dict[str, Any],
-        batch_mode: bool,
         trace: bool,
     ) -> RemoteResult:
         """Execute one shard subplan remotely; sync + ship plan as needed.
@@ -680,7 +673,7 @@ class ProcessShardPool:
             try:
                 return self._dispatch_locked(
                     handle, shard_id, encoded_plan, digest, params, seed,
-                    flags, batch_mode, trace, inject,
+                    flags, trace, inject,
                 )
             except RemoteTimeout as exc:
                 last_error = exc
@@ -706,7 +699,6 @@ class ProcessShardPool:
         params: dict[str, Any] | None,
         seed: dict[str, Any] | None,
         flags: dict[str, Any],
-        batch_mode: bool,
         trace: bool,
         inject: dict[str, Any] | None = None,
     ) -> RemoteResult:
@@ -719,7 +711,6 @@ class ProcessShardPool:
                 "params": params,
                 "seed": seed,
                 "flags": flags,
-                "batch_mode": batch_mode,
                 "trace": trace,
             }
             if inject is not None:

@@ -507,9 +507,6 @@ class ShardedDatabase(Driver):
         text: str,
         params: dict[str, Any] | None = None,
         use_indexes: bool = True,
-        use_compiled: bool = True,
-        use_batches: bool = True,
-        use_fusion: bool = True,
         batch_size: int | None = None,
         session: ClusterSessionToken | None = None,
     ) -> list[Any]:
@@ -525,7 +522,7 @@ class ShardedDatabase(Driver):
         """
         return self._execute_on(
             ShardedQueryContext(self, session=session), text, params,
-            use_indexes, use_compiled, use_batches, use_fusion, batch_size,
+            use_indexes, batch_size,
         )
 
     def plan_catalog(self) -> ShardRouter:

@@ -13,7 +13,10 @@ Encoding::
           b/c#1  = 3
 
 Empty objects/arrays are encoded with a type marker so the inverse is
-faithful: ``path = {}`` / ``path = []``.
+faithful: ``path = {}`` / ``path = []``.  The markers are strings that
+start with ``"\x00"``, so a string scalar starting with it is escaped
+with one more ``"\x00"`` on the way out and unescaped on the way back —
+no stored string can pass for a marker.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from typing import Any
 
 from repro.errors import ConversionError
 
-_EMPTY_OBJECT = "\x00{}"
-_EMPTY_ARRAY = "\x00[]"
+_ESCAPE = "\x00"
+_EMPTY_OBJECT = _ESCAPE + "{}"
+_EMPTY_ARRAY = _ESCAPE + "[]"
 
 
 def document_to_kv_pairs(doc: dict[str, Any], prefix: str = "") -> list[tuple[str, Any]]:
@@ -59,6 +63,8 @@ def _flatten(value: Any, path: str, pairs: list[tuple[str, Any]]) -> None:
         for index, item in enumerate(value):
             _flatten(item, f"{path}#{index}", pairs)
         return
+    if isinstance(value, str) and value.startswith(_ESCAPE):
+        value = _ESCAPE + value
     pairs.append((path, value))
 
 
@@ -91,6 +97,8 @@ def _insert(root: dict[str, Any], path: str, value: Any) -> None:
                 node[marker] = {}
             elif value == _EMPTY_ARRAY:
                 node[marker] = {"\x00kind": "list"}
+            elif isinstance(value, str) and value.startswith(_ESCAPE):
+                node[marker] = value[len(_ESCAPE):]
             else:
                 node[marker] = value
         else:

@@ -16,11 +16,8 @@ DESIGN.md §5 calls out:
 - **E12** — distributed commit: single-shard fast path vs two-phase
   commit by transaction span (latency, WAL and coordinator-log traffic).
 - **E13** — the compiled hot path: closure-compiled expression
-  evaluation vs the reference interpreter (per-row and end-to-end on
-  expression-heavy E1 queries), and plan-cache hit vs cold plan latency.
-- **E14** — vectorized execution: batch-at-a-time operator streams and
-  fused pipeline closures vs per-row Volcano pulls, on scan / filter /
-  project shapes and the Q7 join end-to-end.
+  evaluation vs the reference interpreter per row, and plan-cache hit
+  vs cold plan latency.
 - **E15** — the observability layer: metrics-only and full-tracing
   overhead against the uninstrumented path on the sharded Q7 join,
   plus structural verification of the per-shard span tree.
@@ -402,7 +399,8 @@ def _aggregation_actuals(driver, text: str) -> tuple[int | None, int]:
         executor.analyze = True
         executor.observed = {}
         counted = instrument(plan(parse(text), executor.catalog).root)
-        list(counted.run(executor, {}))
+        for _ in counted.run_batches(executor, {}):
+            pass
         gather_rows: int | None = None
         groups = 0
         node = counted
@@ -559,11 +557,6 @@ _E13_EXPR = (
     "AND (o.total_price - o.customer_id % 3 >= 10 OR o.status LIKE 'ship%')"
 )
 
-# Expression-heavy scan: no usable index, the predicate runs per row.
-_E13_SCAN_QUERY = f"FOR o IN orders FILTER {_E13_EXPR} RETURN o._id"
-
-_E13_QUERIES = ("Q5", "Q7")
-
 
 def experiment_e13_compile(
     scale_factor: float = 0.05,
@@ -574,23 +567,24 @@ def experiment_e13_compile(
 ) -> Table:
     """Closure compilation and plan caching on the MMQL hot path.
 
-    Three measurement families, one row each:
+    Two measurements, one row each:
 
     - ``expr_eval``: the per-row cost of one expression-heavy predicate
       over *eval_rows* synthetic bindings — the reference interpreter's
-      recursive isinstance walk (baseline) against the compiled
-      nested-closure evaluator (optimized).  This is the per-row metric
-      the E13 acceptance gate asserts (>= 2x at full scale, >= 1.5x in
-      the CI smoke).
-    - ``Q2``/``Q5``/``Q7`` end-to-end: expression-heavy E1 queries run
-      through the unified driver with ``use_compiled`` off vs on; the
-      speedup is smaller than the per-row ratio because scan and index
-      work is shared by both modes.
+      recursive isinstance walk (:func:`repro.query.reference.eval_expr`,
+      baseline) against the compiled nested-closure evaluator
+      (optimized).  This is the per-row metric the E13 acceptance gate
+      asserts (>= 2x at full scale, >= 1.5x in the CI smoke).
     - ``plan cold vs cached``: parse+plan latency against a plan-cache
       hit for the same text — the amortization the versioned LRU cache
       buys every repeated query.
+
+    Neither row depends on dataset size: *scale_factor* only labels the
+    table, so the CLI and the benchmark's ``BENCH_COMPILE_SF`` knob keep
+    their meaning for the runs they are compared with.
     """
     from repro.core.workloads import QUERY_BY_ID
+    from repro.query import reference
     from repro.query.compile import compile_expr
     from repro.query.executor import Executor
     from repro.query.parser import parse
@@ -624,48 +618,18 @@ def experiment_e13_compile(
         for _ in range(eval_rows)
     ]
     params = {"cutoff": 120.0}
-    oracle = Executor(ctx=None)
+    rt = Executor(ctx=None)
     compiled = compile_expr(expr)
     # Warm both paths (regex cache, bytecode) before timing.
     for binding in bindings[:100]:
-        assert oracle.eval_expr(expr, binding, params) == compiled(
-            oracle, binding, params
-        )
+        assert reference.eval_expr(expr, binding, params) == compiled(rt, binding, params)
     with Stopwatch() as sw_interp:
         for binding in bindings:
-            oracle.eval_expr(expr, binding, params)
+            reference.eval_expr(expr, binding, params)
     with Stopwatch() as sw_compiled:
         for binding in bindings:
-            compiled(oracle, binding, params)
+            compiled(rt, binding, params)
     row(f"expr_eval ({eval_rows} rows)", sw_interp.elapsed, sw_compiled.elapsed)
-
-    # -- end-to-end expression-heavy E1 queries ------------------------------
-    dataset = DatasetGenerator(
-        GeneratorConfig(seed=seed, scale_factor=scale_factor)
-    ).generate()
-    driver = UnifiedDriver()
-    load_dataset(driver, dataset)
-    cases = [("scan_filter", _E13_SCAN_QUERY, params)]
-    cases.extend(
-        (query_id, QUERY_BY_ID[query_id].text, QUERY_BY_ID[query_id].params(dataset))
-        for query_id in _E13_QUERIES
-    )
-    for query_id, text, qparams in cases:
-        interp = driver.query(text, qparams, use_compiled=False)
-        comp = driver.query(text, qparams, use_compiled=True)
-        if repr(interp) != repr(comp):
-            raise AssertionError(
-                f"E13: {query_id} compiled/interpreted results diverge"
-            )
-        timings = {}
-        for use_compiled in (False, True):
-            for _ in range(2):  # warm caches/snapshots outside the timer
-                driver.query(text, qparams, use_compiled=use_compiled)
-            with Stopwatch() as sw:
-                for _ in range(repetitions):
-                    driver.query(text, qparams, use_compiled=use_compiled)
-            timings[use_compiled] = sw.elapsed / repetitions
-        row(query_id, timings[False], timings[True])
 
     # -- plan cache: cold plan vs hit ----------------------------------------
     text = QUERY_BY_ID["Q2"].text
@@ -686,113 +650,6 @@ def experiment_e13_compile(
 
 
 # ---------------------------------------------------------------------------
-# E14 — vectorized batch execution + fused operator chains
-# ---------------------------------------------------------------------------
-
-_E14_SHAPES = (
-    # (case, query text) — the operator shapes the batch kernels target.
-    ("scan_project", "FOR o IN orders RETURN o._id"),
-    (
-        "scan_filter",
-        f"FOR o IN orders FILTER {_E13_EXPR} RETURN o._id",
-    ),
-    (
-        "filter_let_project",
-        "FOR o IN orders "
-        "FILTER o.total_price * 1.21 > @cutoff "
-        "LET gross = o.total_price * 1.21 "
-        "LET bucket = o.customer_id % 7 "
-        "RETURN {id: o._id, gross, bucket}",
-    ),
-)
-
-_E14_MODES = {
-    # Ablation ladder: each step adds one engine feature.
-    "interpreted": dict(use_compiled=False, use_batches=False),
-    "batched": dict(use_compiled=True, use_batches=True, use_fusion=False),
-    "fused": dict(use_compiled=True, use_batches=True, use_fusion=True),
-}
-
-
-def experiment_e14_vectorized(
-    scale_factor: float = 0.05,
-    repetitions: int = 15,
-    seed: int = 42,
-) -> Table:
-    """Batch-at-a-time execution and operator fusion vs per-row pulls.
-
-    Each row times one query shape through the execution-mode ladder:
-
-    - ``interpreted_ms``: the per-binding Volcano baseline with the
-      recursive expression interpreter (``use_compiled=False,
-      use_batches=False``) — the pre-E13 engine;
-    - ``batched_ms``: compiled kernels applied batch-at-a-time, no
-      fusion (``use_batches=True, use_fusion=False``);
-    - ``fused_ms``: the default engine — straight-line
-      bind→filter→let→project chains collapsed into one per-batch
-      closure (``FusedPipeline``);
-    - ``speedup_x``: interpreted / fused, the end-to-end win of the
-      vectorized engine over the per-row interpreter.  The acceptance
-      gate asserts >= 2x on the Q7 join (full scale; the SF=0.01 CI
-      smoke uses a lower floor to absorb host noise).
-
-    Shapes: a bare scan+project, the E13 expression-heavy filter, a
-    filter→let→let→project chain (maximum fusion depth), and Q7
-    end-to-end (multi-way join + COLLECT + TopK — the blocking
-    operators bound how much of the plan can fuse).  On Q7 the modes
-    also differ in join algorithm: the batch modes run ``EquiJoin``'s
-    hash side, ``interpreted`` is the reference mode's nested loop, so
-    that row's ratio is dominated by the join and grows with scale.
-    Every mode's results are checked identical before anything is timed.
-    """
-    from repro.core.workloads import QUERY_BY_ID
-
-    table = Table(
-        f"E14: vectorized execution (SF={scale_factor}, ms)",
-        ["case", "interpreted_ms", "batched_ms", "fused_ms", "speedup_x"],
-    )
-    dataset = DatasetGenerator(
-        GeneratorConfig(seed=seed, scale_factor=scale_factor)
-    ).generate()
-    driver = UnifiedDriver()
-    load_dataset(driver, dataset)
-
-    cases = [(case, text, {"cutoff": 120.0}) for case, text in _E14_SHAPES]
-    q7 = QUERY_BY_ID["Q7"]
-    cases.append(("Q7", q7.text, q7.params(dataset)))
-
-    for case, text, params in cases:
-        results = {
-            mode: driver.query(text, params, **flags)
-            for mode, flags in _E14_MODES.items()
-        }
-        baseline = repr(results["interpreted"])
-        for mode, rows in results.items():
-            if repr(rows) != baseline:
-                raise AssertionError(
-                    f"E14: {case} diverged between interpreted and {mode}"
-                )
-        timings = {}
-        for mode, flags in _E14_MODES.items():
-            for _ in range(2):  # warm caches/snapshots outside the timer
-                driver.query(text, params, **flags)
-            with Stopwatch() as sw:
-                for _ in range(repetitions):
-                    driver.query(text, params, **flags)
-            timings[mode] = sw.elapsed / repetitions
-        table.add_row([
-            case,
-            round(timings["interpreted"] * 1000.0, 4),
-            round(timings["batched"] * 1000.0, 4),
-            round(timings["fused"] * 1000.0, 4),
-            round(timings["interpreted"] / timings["fused"], 2)
-            if timings["fused"]
-            else float("inf"),
-        ])
-    return table
-
-
-# ---------------------------------------------------------------------------
 # E15 — observability overhead + span-tree verification
 # ---------------------------------------------------------------------------
 
@@ -806,7 +663,7 @@ def experiment_e15_observability(
 ) -> Table:
     """Cost of the observability layer on the cluster's Q7 hot path.
 
-    One 4-shard cluster, the E14 Q7 join, three instrumentation modes:
+    One 4-shard cluster, the Q7 join, three instrumentation modes:
 
     - ``disabled``: the exact pre-observability execution path;
     - ``metrics``: counters + latency histograms, no tracing (the
@@ -974,7 +831,7 @@ def experiment_e16_procpool(
     Every query's results are checked byte-identical across all three
     drivers *before* anything is timed (sorted canonically for the
     unordered filter shape).  Timing interleaves the two pools every
-    round and keeps per-case minima (the E14/E15 noise discipline); the
+    round and keeps per-case minima (the E15 noise discipline); the
     ``scan_mix`` row sums the minima — the figure the CI bench gates,
     conditional on the host actually having more than one core.
     """
@@ -1221,7 +1078,6 @@ EXTENSION_EXPERIMENTS = {
     "E11": experiment_e11_aggregation,
     "E12": experiment_e12_commit,
     "E13": experiment_e13_compile,
-    "E14": experiment_e14_vectorized,
     "E15": experiment_e15_observability,
     "E16": experiment_e16_procpool,
     "E17": experiment_e17_replication,

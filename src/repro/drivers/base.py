@@ -164,18 +164,13 @@ class Driver(abc.ABC):
         text: str,
         params: dict[str, Any] | None = None,
         use_indexes: bool = True,
-        use_compiled: bool = True,
-        use_batches: bool = True,
-        use_fusion: bool = True,
         batch_size: int | None = None,
     ) -> list[Any]:
         """Convenience: run one MMQL query on a fresh context.
 
-        The plan comes from the driver's shared cache.  The keyword
-        switches are the ablation axes: *use_compiled* (closures vs the
-        interpreter), *use_batches* (batch-at-a-time vs per-binding
-        streams) and *use_fusion* (fused pipeline closures vs unfused
-        batch operators); *batch_size* tunes the vectorization width.
+        The plan comes from the driver's shared cache.  *use_indexes* is
+        the index ablation axis; *batch_size* tunes the vectorization
+        width.
 
         When the driver's observability is enabled (the default) the
         run is timed into the metrics registry and, over the slow-query
@@ -184,8 +179,7 @@ class Driver(abc.ABC):
         exact pre-instrumentation path.
         """
         return self._execute_on(
-            self.query_context(), text, params, use_indexes, use_compiled,
-            use_batches, use_fusion, batch_size,
+            self.query_context(), text, params, use_indexes, batch_size
         )
 
     def _execute_on(
@@ -194,9 +188,6 @@ class Driver(abc.ABC):
         text: str,
         params: dict[str, Any] | None,
         use_indexes: bool,
-        use_compiled: bool,
-        use_batches: bool,
-        use_fusion: bool,
         batch_size: int | None,
     ) -> list[Any]:
         """Run one query on an already-built context (closing it after).
@@ -213,9 +204,6 @@ class Driver(abc.ABC):
             executor = Executor(
                 ctx,
                 use_indexes=use_indexes,
-                use_compiled=use_compiled,
-                use_batches=use_batches,
-                use_fusion=use_fusion,
                 batch_size=batch_size or DEFAULT_BATCH_SIZE,
                 plans=self.plan_cache,
                 epoch=self.catalog_epoch(),

@@ -60,11 +60,6 @@ class _Counted:
     def label(self) -> str:
         return self.inner.label()
 
-    def run(self, rt, params, seed=None):
-        for item in self.inner.run(rt, params, seed):
-            self.rows += 1
-            yield item
-
     def run_batches(self, rt, params, seed=None):
         for batch in self.inner.run_batches(rt, params, seed):
             self.rows += len(batch)
@@ -134,8 +129,7 @@ def explain_analyze(
     executor = Executor(ctx, use_indexes=use_indexes)
     executor.analyze = True
     executor.observed = {}
-    # Drain the batch streams: ANALYZE observes the default (vectorized)
-    # execution mode, so every operator line reports batches=N too.
+    # Every operator line reports the batches it yielded, too.
     results: list[Any] = []
     for batch in counted.run_batches(executor, params or {}):
         results.extend(batch)

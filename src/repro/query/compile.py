@@ -3,7 +3,7 @@
 :func:`compile_expr` walks an expression AST exactly **once** and
 returns a nested-closure evaluator ``(rt, binding, params) -> value``.
 Every decision the reference interpreter
-(:meth:`repro.query.executor.Executor.eval_expr`) re-makes per row —
+(:func:`repro.query.reference.eval_expr`) re-makes per row —
 "which node type is this?", "which binary operator?", "which builtin?"
 — is made here at plan time and baked into the closure:
 
@@ -21,9 +21,9 @@ Every decision the reference interpreter
 
 The physical operators compile their expressions when the plan is
 built (see the ``__post_init__`` hooks in :mod:`repro.query.physical`)
-and pick the closure or the interpreter per run via the executor's
-``use_compiled`` ablation flag — the interpreter stays byte-equivalent
-as the differential-test oracle (``tests/query/test_compile_parity``).
+and evaluate them no other way; the reference interpreter is the
+differential-test oracle the closures are checked against
+(``tests/query/test_compile_parity``).
 
 Shared runtime helpers (:func:`arith`, :func:`like_match`) live here so
 both evaluators agree on operator semantics by construction.
@@ -60,43 +60,13 @@ Binding = dict[str, Any]
 CompiledExpr = Callable[[Any, Binding, dict[str, Any]], Any]
 
 
-def use_compiled(rt: Any) -> bool:
-    """The executor's ablation switch (compiled closures by default)."""
-    return getattr(rt, "use_compiled", True)
-
-
-def use_batches(rt: Any) -> bool:
-    """Batch-at-a-time execution switch (batched by default)."""
-    return getattr(rt, "use_batches", True)
-
-
-def use_fusion(rt: Any) -> bool:
-    """Fused-pipeline switch (fused by default; only read in batch mode)."""
-    return getattr(rt, "use_fusion", True)
-
-
-def interpreted(expr: Expr) -> CompiledExpr:
-    """A :data:`CompiledExpr`-shaped adapter over the reference interpreter."""
-
-    def ev(rt: Any, binding: Binding, params: dict[str, Any]) -> Any:
-        return rt.eval_expr(expr, binding, params)
-
-    return ev
-
-
-def evaluator(rt: Any, compiled: CompiledExpr, expr: Expr) -> CompiledExpr:
-    """The evaluator *rt* wants for *expr*: compiled closure or interpreter."""
-    return compiled if use_compiled(rt) else interpreted(expr)
-
-
 # ---------------------------------------------------------------------------
 # Batch kernels (the vectorized operator bodies)
 # ---------------------------------------------------------------------------
 
 # A batch kernel maps one batch of bindings to its output batch in a
 # single Python-level loop — no per-row operator re-entry.  The physical
-# operators build these once at plan time from their compiled closures
-# (and once per run from the interpreter when ``use_compiled`` is off).
+# operators build these once at plan time from their compiled closures.
 BatchKernel = Callable[[Any, list[Binding], dict[str, Any]], list[Any]]
 
 
@@ -445,7 +415,7 @@ def _compile_call(expr: FunctionCall) -> CompiledExpr:
     if fn is None:
         # Defer the failure to evaluation time, and still evaluate the
         # arguments first — the interpreter does, so an erroring argument
-        # must win over the unknown-function error in both modes.
+        # must win over the unknown-function error in both evaluators.
 
         def ev_unknown(rt: Any, binding: Binding, params: dict[str, Any]) -> Any:
             for arg in args:

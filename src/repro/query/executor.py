@@ -1,21 +1,18 @@
-"""MMQL execution: expression evaluation + a thin physical-plan driver.
+"""MMQL execution: a thin physical-plan driver.
 
-The executor no longer interprets clauses.  :meth:`Executor.execute`
+The executor does not interpret clauses.  :meth:`Executor.execute`
 resolves the physical operator tree through a versioned
 :class:`~repro.query.plancache.PlanCache` (parse + plan happen only on
-a cache miss) and pulls result values out of the root
-:class:`~repro.query.physical.Project` iterator — all pipeline shape
+a cache miss) and drains the root's batch stream — all pipeline shape
 (access paths, filter placement, TopK fusion) was decided at plan time,
 and every expression the plan holds was closure-compiled when the plan
-was built (:mod:`repro.query.compile`).
+was built (:mod:`repro.query.compile`).  The clause-at-a-time
+interpreter the engine is tested against lives apart from it, in
+:mod:`repro.query.reference`.
 
-What remains here is the *runtime* the operators call back into:
+What remains here is the *runtime* the operators call back into
+(operators pass the executor around as ``rt``):
 
-- :meth:`Executor.eval_expr` — the **reference interpreter** (operators
-  pass the executor around as ``rt``).  The compiled closures are the
-  default hot path; ``use_compiled=False`` switches every operator back
-  to this recursive walk, which is the differential-testing oracle and
-  the interpreted side of the E13 benchmark.
 - :meth:`Executor.run_subquery` — sub-pipelines lower through the same
   plan cache, keyed by the (value-hashable) Query AST; nothing is
   pinned by ``id()`` and equal subqueries share one plan.
@@ -35,25 +32,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.engine.records import copy_value
-from repro.errors import ExecutionError
 from repro.models.xml.node import XmlElement, XmlText
-from repro.query import functions
-from repro.query.ast import (
-    Binary,
-    Expr,
-    FieldAccess,
-    FunctionCall,
-    IndexAccess,
-    ListExpr,
-    Literal,
-    ObjectExpr,
-    ParamRef,
-    Query,
-    Subquery,
-    Unary,
-    VarRef,
-)
-from repro.query.compile import arith, like_match
+from repro.query.ast import Query
 from repro.query.context import QueryContext
 from repro.query.physical import DEFAULT_BATCH_SIZE
 from repro.query.plancache import PlanCache
@@ -75,23 +55,12 @@ class Executor:
         self,
         ctx: QueryContext,
         use_indexes: bool = True,
-        use_compiled: bool = True,
-        use_batches: bool = True,
-        use_fusion: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
         plans: PlanCache | None = None,
         epoch: int = 0,
     ) -> None:
         self.ctx = ctx
         self.use_indexes = use_indexes
-        # Ablation switch: compiled expression closures (default) vs the
-        # reference interpreter below.  Checked once per operator run().
-        self.use_compiled = use_compiled
-        # Ablation switches for vectorized execution: batch-at-a-time
-        # operator streams (run_batches) and fused pipeline closures.
-        # Off = the per-binding run() streams, the E14 baselines.
-        self.use_batches = use_batches
-        self.use_fusion = use_fusion
         self.batch_size = batch_size
         # A sharded context carries the cluster catalog; plan() then
         # inserts scatter-gather operators.  Single-node contexts don't.
@@ -118,7 +87,7 @@ class Executor:
             "join_builds": 0, "join_build_rows": 0, "join_index_probes": 0,
             "join_unhashable_rows": 0, "rows_copied_out": 0,
         }
-        # Batch-mode scan materialization: collection name -> the scanned
+        # Scan materialization: collection name -> the scanned
         # block, so nested-loop inner scans re-serve one materialized
         # pass instead of re-scanning the store per outer row.  Scoped to
         # one top-level execute() — cleared there, shared by subqueries.
@@ -221,117 +190,11 @@ class Executor:
     def _drain(
         self, root: Any, params: dict[str, Any], seed: Binding | None = None
     ) -> list[Any]:
-        """Materialise a plan's output in the configured execution mode."""
-        if self.use_batches:
-            out: list[Any] = []
-            for batch in root.run_batches(self, params, seed=seed):
-                out.extend(batch)
-            return out
-        return list(root.run(self, params, seed=seed))
-
-    # -- expression evaluation (the reference interpreter) --------------------
-
-    def eval_expr(self, expr: Expr, binding: Binding, params: dict[str, Any]) -> Any:
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, VarRef):
-            if expr.name not in binding:
-                raise ExecutionError(f"unbound variable {expr.name!r}")
-            return binding[expr.name]
-        if isinstance(expr, ParamRef):
-            if expr.name not in params:
-                raise ExecutionError(f"missing query parameter @{expr.name}")
-            return params[expr.name]
-        if isinstance(expr, FieldAccess):
-            base = self.eval_expr(expr.base, binding, params)
-            if base is None:
-                return None
-            if isinstance(base, dict):
-                return base.get(expr.field)
-            raise ExecutionError(
-                f"field access .{expr.field} on {type(base).__name__}"
-            )
-        if isinstance(expr, IndexAccess):
-            base = self.eval_expr(expr.base, binding, params)
-            index = self.eval_expr(expr.index, binding, params)
-            if base is None:
-                return None
-            if isinstance(base, list):
-                if not isinstance(index, int):
-                    raise ExecutionError("list index must be an int")
-                if -len(base) <= index < len(base):
-                    return base[index]
-                return None
-            if isinstance(base, dict):
-                return base.get(index)
-            raise ExecutionError(f"indexing into {type(base).__name__}")
-        if isinstance(expr, Binary):
-            return self._eval_binary(expr, binding, params)
-        if isinstance(expr, Unary):
-            if expr.op == "NOT":
-                return not _truthy(self.eval_expr(expr.operand, binding, params))
-            value = self.eval_expr(expr.operand, binding, params)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ExecutionError(f"unary '-' on {type(value).__name__}")
-            return -value
-        if isinstance(expr, FunctionCall):
-            args = [self.eval_expr(a, binding, params) for a in expr.args]
-            return functions.call_builtin(expr.name, self.ctx, args)
-        if isinstance(expr, ObjectExpr):
-            return {
-                name: self.eval_expr(value, binding, params)
-                for name, value in expr.fields
-            }
-        if isinstance(expr, ListExpr):
-            return [self.eval_expr(item, binding, params) for item in expr.items]
-        if isinstance(expr, Subquery):
-            return self.run_subquery(expr.query, binding, params)
-        raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-
-    def _eval_binary(self, expr: Binary, binding: Binding, params: dict[str, Any]) -> Any:
-        op = expr.op
-        if op == "AND":
-            return _truthy(self.eval_expr(expr.left, binding, params)) and _truthy(
-                self.eval_expr(expr.right, binding, params)
-            )
-        if op == "OR":
-            return _truthy(self.eval_expr(expr.left, binding, params)) or _truthy(
-                self.eval_expr(expr.right, binding, params)
-            )
-        left = self.eval_expr(expr.left, binding, params)
-        right = self.eval_expr(expr.right, binding, params)
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op in ("<", "<=", ">", ">="):
-            if left is None or right is None:
-                return False
-            try:
-                if op == "<":
-                    return left < right
-                if op == "<=":
-                    return left <= right
-                if op == ">":
-                    return left > right
-                return left >= right
-            except TypeError:
-                return False
-        if op == "IN":
-            if right is None:
-                return False
-            if isinstance(right, (list, str, dict)):
-                return left in right
-            raise ExecutionError(f"IN requires a list/string, got {type(right).__name__}")
-        if op == "LIKE":
-            return like_match(left, right)
-        if op in ("+", "-", "*", "/", "%"):
-            return arith(op, left, right)
-        raise ExecutionError(f"unknown operator {op!r}")
-
-
-def _truthy(value: Any) -> bool:
-    return bool(value)
+        """Materialise a plan's output by draining its batch stream."""
+        out: list[Any] = []
+        for batch in root.run_batches(self, params, seed=seed):
+            out.extend(batch)
+        return out
 
 
 def _copy_result(value: Any) -> Any:
@@ -351,17 +214,7 @@ def run_query(
     text: str,
     params: dict[str, Any] | None = None,
     use_indexes: bool = True,
-    use_compiled: bool = True,
-    use_batches: bool = True,
-    use_fusion: bool = True,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> list[Any]:
     """Parse, plan and execute MMQL *text* in one call."""
-    return Executor(
-        ctx,
-        use_indexes=use_indexes,
-        use_compiled=use_compiled,
-        use_batches=use_batches,
-        use_fusion=use_fusion,
-        batch_size=batch_size,
-    ).execute(text, params)
+    return Executor(ctx, use_indexes=use_indexes, batch_size=batch_size).execute(text, params)

@@ -1,8 +1,8 @@
-"""MMQL physical operators: the Volcano-style execution pipeline.
+"""MMQL physical operators: the batch-at-a-time execution pipeline.
 
 The planner lowers a clause list into a tree of physical operators; the
-executor then just pulls bindings through :meth:`PhysicalOperator.run`
-iterators.  Operators are frozen dataclasses so a plan is an immutable,
+executor then drains the root's :meth:`PhysicalOperator.run_batches`
+stream.  Operators are frozen dataclasses so a plan is an immutable,
 inspectable value — :func:`explain_tree` renders the tree that EXPLAIN
 shows, including the chosen access path for every FOR.
 
@@ -25,11 +25,12 @@ TopK               fused SORT+LIMIT: bounded-heap top-k, no full sort
 Limit              LIMIT: offset/count window over the stream
 HashAggregate      COLLECT: hash grouping + Aggregator states, three modes
 Project            RETURN: map bindings to output values (DISTINCT here)
+FusedPipeline      a straight-line bind/filter/let/project chain, one closure
 =================  ========================================================
 
 Operators receive the running :class:`~repro.query.executor.Executor`
-(duck-typed as ``rt``) for expression evaluation, the data context, the
-``use_indexes`` switch and the stats counters.  Access paths re-check
+(duck-typed as ``rt``) for the data context, the ``use_indexes``
+switch, the batch size and the stats counters.  Access paths re-check
 nothing themselves: the planner always keeps the original FILTER as a
 residual predicate, so an access path may safely over-approximate (e.g.
 a latest-committed index) — correctness never depends on index choice.
@@ -37,32 +38,29 @@ a latest-committed index) — correctness never depends on index choice.
 Every expression an operator holds is **closure-compiled once** when the
 operator is constructed (``__post_init__`` calls
 :func:`~repro.query.compile.compile_expr`), so the per-row inner loop
-runs pre-dispatched closures instead of the interpreter's recursive
-isinstance walk.  The executor's ``use_compiled`` ablation flag switches
-each ``run()`` back to the reference interpreter (``rt.eval_expr``) for
-differential testing and the E13 benchmark.
+runs pre-dispatched closures instead of a recursive isinstance walk.
 
-**Batch-at-a-time execution** (E14): every operator also implements
-``run_batches``, producing and consuming *lists* of bindings (target
-size ``rt.batch_size``, default 1024) instead of one binding per
-``next()``.  Access paths emit whole chunks directly — bulk stats
-counting, no generator hop per row — and Filter/Let/Project run the
-batch kernels of :mod:`repro.query.compile` over each batch in a single
-Python-level loop.  The fusion pass (:func:`fuse_pipelines`) then
-collapses maximal straight-line chains of NestedLoopBind/Filter/Let/
-Project into one :class:`FusedPipeline` node whose per-batch closure
-chain eliminates the remaining operator hops and intermediate dict
-churn.  The per-binding ``run()`` streams stay live behind the
-executor's ``use_batches``/``use_fusion`` ablation flags, so the
-interpreter remains the differential oracle for every new path.
+**Batch-at-a-time execution**: every operator produces and consumes
+*lists* of bindings (target size ``rt.batch_size``, default 1024)
+instead of one binding per ``next()``.  Access paths emit whole chunks
+directly — bulk stats counting, no generator hop per row — and
+Filter/Let/Project run the batch kernels of :mod:`repro.query.compile`
+over each batch in a single Python-level loop.  The fusion pass
+(:func:`fuse_pipelines`) then collapses maximal straight-line chains of
+NestedLoopBind/Filter/Let/Project into one :class:`FusedPipeline` node
+whose per-batch closure chain eliminates the remaining operator hops
+and intermediate dict churn.  The differential oracle for all of it is
+the standalone clause-at-a-time interpreter in
+:mod:`repro.query.reference`, which shares none of this module's
+operators.
 
 Laziness caveat: batch execution evaluates up to one chunk of rows
-ahead of a LIMIT's cut-off, so a predicate that *errors* on a row the
-per-binding engine would never have pulled can surface the error — the
-standard vectorized-engine trade, bounded by the batch size.  An
-:class:`EquiJoin` that takes its hash side reads ahead further: the
-whole inner block, once, on the first outer row (an empty outer side
-never touches it).  Values and ordering are identical in all modes.
+ahead of a LIMIT's cut-off, so a predicate that *errors* on a row a
+row-at-a-time interpreter would never have pulled can surface the
+error — the standard vectorized-engine trade, bounded by the batch
+size.  An :class:`EquiJoin` that takes its hash side reads ahead
+further: the whole inner block, once, on the first outer row (an empty
+outer side never touches it).
 """
 
 from __future__ import annotations
@@ -74,17 +72,6 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import ExecutionError
 from repro.query.aggregates import AggPartial, get_aggregator, group_key, ordered_group_keys
-from repro.query.compile import (
-    CompiledExpr,
-    compile_expr,
-    evaluator,
-    filter_batch,
-    interpreted,
-    let_batch,
-    project_batch,
-    use_compiled,
-    use_fusion,
-)
 from repro.query.ast import (
     Binary,
     CollectClause,
@@ -99,6 +86,13 @@ from repro.query.ast import (
     SortKey,
     Unary,
     VarRef,
+)
+from repro.query.compile import (
+    CompiledExpr,
+    compile_expr,
+    filter_batch,
+    let_batch,
+    project_batch,
 )
 
 Binding = dict[str, Any]
@@ -181,7 +175,7 @@ def _plan_node_state(node: Any) -> dict[str, Any]:
     """Pickle state of a plan node: declared dataclass fields only.
 
     Every operator's ``__post_init__`` injects compiled closures
-    (``_c_*``, ``_k_batch``, ``_chain_root``) via ``object.__setattr__``;
+    (``_c_*``, ``_k_batch``) via ``object.__setattr__``;
     closures are process-local and unpicklable, so serialization ships
     the declared fields and :func:`_restore_plan_node` recompiles on the
     receiving side.  This is what lets a shard subplan cross the worker
@@ -208,14 +202,11 @@ class AccessPath:
     def __setstate__(self, state: dict[str, Any]) -> None:
         _restore_plan_node(self, state)
 
-    def items(self, rt: Any, binding: Binding, params: dict[str, Any]) -> Iterator[Any]:
-        raise NotImplementedError
-
     def batches(
         self, rt: Any, binding: Binding, params: dict[str, Any], size: int
     ) -> Iterator[list[Any]]:
-        """Items in chunks of at most *size*; paths override for bulk stats."""
-        yield from _chunks(self.items(rt, binding, params), size)
+        """The items, in non-empty chunks of at most *size*."""
+        raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -229,9 +220,9 @@ def _count(rt: Any, stat: str, by: int = 1) -> None:
 def _scan_batches(rt: Any, collection: str, size: int) -> Iterator[list[Any]]:
     """Full-scan fallback emitting chunks, counting stats per chunk.
 
-    Batch mode additionally *materializes* each collection scan once per
-    query (``rt.scan_cache``) and serves repeated scans of the same
-    collection from the cached block: the inner scan of a nested loop
+    Each collection scan is *materialized* once per query
+    (``rt.scan_cache``), and repeated scans of the same collection are
+    served from the cached block: the inner scan of a nested loop
     costs one pass over the store instead of one pass per outer row.
     The snapshot is immutable for the duration of a query and MMQL
     operators never mutate source documents, so re-serving the same
@@ -239,8 +230,7 @@ def _scan_batches(rt: Any, collection: str, size: int) -> Iterator[list[Any]]:
     abandoned early — e.g. cut off by LIMIT — is never cached.  ``scans``
     and ``rows_scanned`` keep counting actual store traffic only;
     ``scan_cache_hits`` counts the re-uses, so EXPLAIN ANALYZE shows the
-    saving directly.  The per-binding ``run()`` path (the E14 baseline)
-    has no cache and re-scans per pull.
+    saving directly.
     """
     cache = getattr(rt, "scan_cache", None)
     docs = cache.get(collection) if cache is not None else None
@@ -277,16 +267,6 @@ class CollectionScan(AccessPath):
 
     collection: str
 
-    def items(self, rt: Any, binding: Binding, params: dict[str, Any]) -> Iterator[Any]:
-        shadowed = _shadowed_list(self.collection, binding)
-        if shadowed is not None:
-            yield from shadowed
-            return
-        rt.stats["scans"] += 1
-        for item in rt.ctx.iter_collection(self.collection):
-            rt.stats["rows_scanned"] += 1
-            yield item
-
     def batches(self, rt, binding, params, size):
         shadowed = _shadowed_list(self.collection, binding)
         if shadowed is not None:
@@ -314,31 +294,13 @@ class IndexEqLookup(AccessPath):
     def __post_init__(self) -> None:
         object.__setattr__(self, "_c_key", compile_expr(self.key_expr))
 
-    def items(self, rt: Any, binding: Binding, params: dict[str, Any]) -> Iterator[Any]:
-        shadowed = _shadowed_list(self.collection, binding)
-        if shadowed is not None:
-            yield from shadowed
-            return
-        if rt.use_indexes:
-            key = evaluator(rt, self._c_key, self.key_expr)(rt, binding, params)
-            matches = rt.ctx.index_lookup(self.collection, self.field, key)
-            if matches is not None:
-                rt.stats["index_lookups"] += 1
-                yield from matches
-                return
-        _count(rt, "index_fallback_scans")
-        rt.stats["scans"] += 1
-        for item in rt.ctx.iter_collection(self.collection):
-            rt.stats["rows_scanned"] += 1
-            yield item
-
     def batches(self, rt, binding, params, size):
         shadowed = _shadowed_list(self.collection, binding)
         if shadowed is not None:
             yield from _chunks(shadowed, size)
             return
         if rt.use_indexes:
-            key = evaluator(rt, self._c_key, self.key_expr)(rt, binding, params)
+            key = self._c_key(rt, binding, params)
             matches = rt.ctx.index_lookup(self.collection, self.field, key)
             if matches is not None:
                 rt.stats["index_lookups"] += 1
@@ -381,35 +343,6 @@ class IndexRangeScan(AccessPath):
             compile_expr(self.high_expr) if self.high_expr is not None else None,
         )
 
-    def items(self, rt: Any, binding: Binding, params: dict[str, Any]) -> Iterator[Any]:
-        shadowed = _shadowed_list(self.collection, binding)
-        if shadowed is not None:
-            yield from shadowed
-            return
-        range_lookup = getattr(rt.ctx, "range_lookup", None)
-        if rt.use_indexes and range_lookup is not None:
-            low = (
-                evaluator(rt, self._c_low, self.low_expr)(rt, binding, params)
-                if self.low_expr is not None else None
-            )
-            high = (
-                evaluator(rt, self._c_high, self.high_expr)(rt, binding, params)
-                if self.high_expr is not None else None
-            )
-            matches = range_lookup(
-                self.collection, self.field,
-                low, high, self.include_low, self.include_high,
-            )
-            if matches is not None:
-                rt.stats["range_lookups"] += 1
-                yield from matches
-                return
-        _count(rt, "index_fallback_scans")
-        rt.stats["scans"] += 1
-        for item in rt.ctx.iter_collection(self.collection):
-            rt.stats["rows_scanned"] += 1
-            yield item
-
     def batches(self, rt, binding, params, size):
         shadowed = _shadowed_list(self.collection, binding)
         if shadowed is not None:
@@ -417,14 +350,8 @@ class IndexRangeScan(AccessPath):
             return
         range_lookup = getattr(rt.ctx, "range_lookup", None)
         if rt.use_indexes and range_lookup is not None:
-            low = (
-                evaluator(rt, self._c_low, self.low_expr)(rt, binding, params)
-                if self.low_expr is not None else None
-            )
-            high = (
-                evaluator(rt, self._c_high, self.high_expr)(rt, binding, params)
-                if self.high_expr is not None else None
-            )
+            low = self._c_low(rt, binding, params) if self._c_low is not None else None
+            high = self._c_high(rt, binding, params) if self._c_high is not None else None
             matches = range_lookup(
                 self.collection, self.field,
                 low, high, self.include_low, self.include_high,
@@ -462,23 +389,6 @@ class ExpressionSource(AccessPath):
             self, "_c_source", None if self.is_var else compile_expr(self.source)
         )
 
-    def items(self, rt: Any, binding: Binding, params: dict[str, Any]) -> Iterator[Any]:
-        if self.is_var:
-            assert isinstance(self.source, VarRef)
-            shadowed = _shadowed_list(self.source.name, binding)
-            if shadowed is None:
-                raise ExecutionError(f"unbound variable {self.source.name!r}")
-            yield from shadowed
-            return
-        value = evaluator(rt, self._c_source, self.source)(rt, binding, params)
-        if value is None:
-            return
-        if not isinstance(value, list):
-            raise ExecutionError(
-                f"FOR source must evaluate to a list, got {type(value).__name__}"
-            )
-        yield from value
-
     def batches(self, rt, binding, params, size):
         if self.is_var:
             assert isinstance(self.source, VarRef)
@@ -487,7 +397,7 @@ class ExpressionSource(AccessPath):
                 raise ExecutionError(f"unbound variable {self.source.name!r}")
             yield from _chunks(shadowed, size)
             return
-        value = evaluator(rt, self._c_source, self.source)(rt, binding, params)
+        value = self._c_source(rt, binding, params)
         if value is None:
             return
         if not isinstance(value, list):
@@ -516,29 +426,16 @@ class PhysicalOperator:
     def __setstate__(self, state: dict[str, Any]) -> None:
         _restore_plan_node(self, state)
 
-    def run(
-        self, rt: Any, params: dict[str, Any], seed: Binding | None = None
-    ) -> Iterator[Binding]:
-        raise NotImplementedError
-
     def run_batches(
         self, rt: Any, params: dict[str, Any], seed: Binding | None = None
     ) -> Iterator[list[Any]]:
-        """Batch-at-a-time mode: non-empty lists of bindings (or of
-        output values at the Project root).  Default bridges through the
-        per-binding stream so exotic operators stay correct; the hot
-        operators all override with native batch bodies."""
-        yield from _chunks(self.run(rt, params, seed), batch_size(rt))
+        """Non-empty lists of bindings (or of output values at the
+        Project root).  Every operator has its own body; there is no
+        per-row fallback to bridge through."""
+        raise NotImplementedError(f"{type(self).__name__} has no run_batches")
 
     def label(self) -> str:
         raise NotImplementedError
-
-    def _input(
-        self, rt: Any, params: dict[str, Any], seed: Binding | None
-    ) -> Iterator[Binding]:
-        if self.child is None:
-            return iter([dict(seed) if seed else {}])
-        return self.child.run(rt, params, seed)
 
     def _input_batches(
         self, rt: Any, params: dict[str, Any], seed: Binding | None
@@ -556,13 +453,6 @@ class NestedLoopBind(PhysicalOperator):
     var: str
     access: AccessPath
     child: PhysicalOperator | None = None
-
-    def run(self, rt, params, seed=None):
-        for binding in self._input(rt, params, seed):
-            for item in self.access.items(rt, binding, params):
-                out = dict(binding)
-                out[self.var] = item
-                yield out
 
     def run_batches(self, rt, params, seed=None):
         size = batch_size(rt)
@@ -622,9 +512,7 @@ class EquiJoin(PhysicalOperator):
 
     An outer binding that holds a variable named like ``collection`` (a
     subquery seed) shadows the collection, so that row runs the block
-    seeded with it: the nested loop.  The per-binding ``run()`` is the
-    reference mode and shares no code with the native body — it rebuilds
-    the nested-loop chain this operator replaced over the same child.
+    seeded with it: the nested loop.
     """
 
     subplan: PhysicalOperator
@@ -638,22 +526,9 @@ class EquiJoin(PhysicalOperator):
         object.__setattr__(self, "_c_inner", compile_expr(self.inner_key))
         object.__setattr__(self, "_c_outer", compile_expr(self.outer_key))
 
-    def run(self, rt, params, seed=None):
-        if self.probe is not None:
-            return replace(self.probe, child=self.child).run(rt, params, seed)
-        spine: list[PhysicalOperator] = []
-        node: PhysicalOperator | None = self.subplan
-        while node is not None:
-            spine.append(node)
-            node = node.child
-        node = self.child
-        for op in reversed(spine):
-            node = replace(op, child=node)
-        return node.run(rt, params, seed)
-
     def run_batches(self, rt, params, seed=None):
         size = batch_size(rt)
-        outer_key = evaluator(rt, self._c_outer, self.outer_key)
+        outer_key = self._c_outer
         collection = self.collection
         index = self.probe.access if self.probe is not None and rt.use_indexes else None
         table: _JoinTable | None = None
@@ -709,7 +584,7 @@ class EquiJoin(PhysicalOperator):
         cache = getattr(rt, "join_tables", None)
         if cache is not None and id(self) in cache:
             return cache[id(self)][1]
-        inner_key = evaluator(rt, self._c_inner, self.inner_key)
+        inner_key = self._c_inner
         rows: list[Binding] = []
         buckets: dict[Any, list[int]] = {}
         overflow: list[int] = []
@@ -775,26 +650,8 @@ class Filter(PhysicalOperator):
             self, "_k_batch", filter_batch(self._c_condition, self.speculative)
         )
 
-    def run(self, rt, params, seed=None):
-        condition = evaluator(rt, self._c_condition, self.condition)
-        if self.speculative:
-            for binding in self._input(rt, params, seed):
-                try:
-                    keep = bool(condition(rt, binding, params))
-                except ExecutionError:
-                    keep = True
-                if keep:
-                    yield binding
-            return
-        for binding in self._input(rt, params, seed):
-            if condition(rt, binding, params):
-                yield binding
-
     def run_batches(self, rt, params, seed=None):
-        kernel = (
-            self._k_batch if use_compiled(rt)
-            else filter_batch(interpreted(self.condition), self.speculative)
-        )
+        kernel = self._k_batch
         for batch in self._input_batches(rt, params, seed):
             kept = kernel(rt, batch, params)
             if kept:
@@ -817,18 +674,8 @@ class Let(PhysicalOperator):
         object.__setattr__(self, "_c_value", compile_expr(self.value))
         object.__setattr__(self, "_k_batch", let_batch(self.var, self._c_value))
 
-    def run(self, rt, params, seed=None):
-        value = evaluator(rt, self._c_value, self.value)
-        for binding in self._input(rt, params, seed):
-            out = dict(binding)
-            out[self.var] = value(rt, binding, params)
-            yield out
-
     def run_batches(self, rt, params, seed=None):
-        kernel = (
-            self._k_batch if use_compiled(rt)
-            else let_batch(self.var, interpreted(self.value))
-        )
+        kernel = self._k_batch
         for batch in self._input_batches(rt, params, seed):
             yield kernel(rt, batch, params)
 
@@ -846,14 +693,8 @@ class Sort(PhysicalOperator):
     def __post_init__(self) -> None:
         object.__setattr__(self, "_c_keys", compile_sort_keys(self.keys))
 
-    def run(self, rt, params, seed=None):
-        keyfn = sort_evaluator(rt, self._c_keys, self.keys)
-        materialised = list(self._input(rt, params, seed))
-        materialised.sort(key=lambda b: keyfn(rt, b, params))
-        return iter(materialised)
-
     def run_batches(self, rt, params, seed=None):
-        keyfn = sort_evaluator(rt, self._c_keys, self.keys)
+        keyfn = self._c_keys
         materialised: list[Binding] = []
         for batch in self._input_batches(rt, params, seed):
             materialised.extend(batch)
@@ -887,36 +728,9 @@ class TopK(PhysicalOperator):
             compile_expr(self.offset) if self.offset is not None else None,
         )
 
-    def run(self, rt, params, seed=None):
-        keyfn = sort_evaluator(rt, self._c_keys, self.keys)
-        count = evaluator(rt, self._c_count, self.count)(rt, {}, params)
-        offset = (
-            evaluator(rt, self._c_offset, self.offset)(rt, {}, params)
-            if self.offset is not None else 0
-        )
-        _check_limit_bounds(count, offset)
-        k = count + offset
-        if k == 0:
-            return
-        heap: list[_HeapEntry] = []
-        for seq, binding in enumerate(self._input(rt, params, seed)):
-            entry = _HeapEntry((keyfn(rt, binding, params), seq), binding)
-            if len(heap) < k:
-                heapq.heappush(heap, entry)
-            elif entry.key < heap[0].key:
-                heapq.heapreplace(heap, entry)
-        kept = sorted(heap, key=lambda e: e.key)
-        for entry in kept[offset:]:
-            yield entry.binding
-
     def run_batches(self, rt, params, seed=None):
-        keyfn = sort_evaluator(rt, self._c_keys, self.keys)
-        count = evaluator(rt, self._c_count, self.count)(rt, {}, params)
-        offset = (
-            evaluator(rt, self._c_offset, self.offset)(rt, {}, params)
-            if self.offset is not None else 0
-        )
-        _check_limit_bounds(count, offset)
+        keyfn = self._c_keys
+        count, offset = _limit_window(rt, self._c_count, self._c_offset, params)
         k = count + offset
         if k == 0:
             return
@@ -970,37 +784,14 @@ class Limit(PhysicalOperator):
             compile_expr(self.offset) if self.offset is not None else None,
         )
 
-    def run(self, rt, params, seed=None):
-        count = evaluator(rt, self._c_count, self.count)(rt, {}, params)
-        offset = (
-            evaluator(rt, self._c_offset, self.offset)(rt, {}, params)
-            if self.offset is not None else 0
-        )
-        _check_limit_bounds(count, offset)
-        emitted = 0
-        skipped = 0
-        for binding in self._input(rt, params, seed):
-            if skipped < offset:
-                skipped += 1
-                continue
-            if emitted >= count:
-                return
-            emitted += 1
-            yield binding
-
     def run_batches(self, rt, params, seed=None):
-        count = evaluator(rt, self._c_count, self.count)(rt, {}, params)
-        offset = (
-            evaluator(rt, self._c_offset, self.offset)(rt, {}, params)
-            if self.offset is not None else 0
-        )
-        _check_limit_bounds(count, offset)
+        count, offset = _limit_window(rt, self._c_count, self._c_offset, params)
         if count == 0:
             return
         to_skip = offset
         remaining = count
         # Stop pulling child batches the moment the window is filled —
-        # cross-batch laziness is what keeps LIMIT cheap in batch mode.
+        # cross-batch laziness is what keeps LIMIT cheap.
         for batch in self._input_batches(rt, params, seed):
             if to_skip:
                 if len(batch) <= to_skip:
@@ -1021,11 +812,17 @@ class Limit(PhysicalOperator):
         return f"Limit [{window}]"
 
 
-def _check_limit_bounds(count: Any, offset: Any) -> None:
+def _limit_window(
+    rt: Any, count_ev: CompiledExpr, offset_ev: CompiledExpr | None, params: dict[str, Any]
+) -> tuple[int, int]:
+    """A LIMIT's (count, offset), evaluated once and bounds-checked."""
+    count = count_ev(rt, {}, params)
+    offset = offset_ev(rt, {}, params) if offset_ev is not None else 0
     if not isinstance(count, int) or count < 0:
         raise ExecutionError(f"LIMIT count must be a non-negative int, got {count!r}")
     if not isinstance(offset, int) or offset < 0:
         raise ExecutionError(f"LIMIT offset must be a non-negative int, got {offset!r}")
+    return count, offset
 
 
 @dataclass(frozen=True)
@@ -1069,9 +866,6 @@ class HashAggregate(PhysicalOperator):
             tuple(compile_expr(agg.arg) for agg in self.clause.aggregations),
         )
 
-    def run(self, rt, params, seed=None):
-        return self._execute(rt, params, self._input(rt, params, seed))
-
     def run_batches(self, rt, params, seed=None):
         source = (
             binding
@@ -1082,14 +876,8 @@ class HashAggregate(PhysicalOperator):
 
     def _execute(self, rt, params, source):
         clause = self.clause
-        if use_compiled(rt):
-            key_evs = self._c_keys
-            arg_evs = self._c_args
-        else:
-            key_evs = tuple(
-                (name, interpreted(expr)) for name, expr in clause.keys
-            )
-            arg_evs = tuple(interpreted(agg.arg) for agg in clause.aggregations)
+        key_evs = self._c_keys
+        arg_evs = self._c_args
         aggs = [(agg, get_aggregator(agg.func)) for agg in clause.aggregations]
         groups: dict[tuple, dict[str, Any]] = {}
         rows_in = 0
@@ -1169,23 +957,8 @@ class Project(PhysicalOperator):
         object.__setattr__(self, "_c_expr", compile_expr(self.returning.expr))
         object.__setattr__(self, "_k_batch", project_batch(self._c_expr))
 
-    def run(self, rt, params, seed=None):
-        project = evaluator(rt, self._c_expr, self.returning.expr)
-        seen: set[str] = set()
-        for binding in self._input(rt, params, seed):
-            value = project(rt, binding, params)
-            if self.returning.distinct:
-                marker = repr(value)
-                if marker in seen:
-                    continue
-                seen.add(marker)
-            yield value
-
     def run_batches(self, rt, params, seed=None):
-        kernel = (
-            self._k_batch if use_compiled(rt)
-            else project_batch(interpreted(self.returning.expr))
-        )
+        kernel = self._k_batch
         if not self.returning.distinct:
             for batch in self._input_batches(rt, params, seed):
                 yield kernel(rt, batch, params)
@@ -1233,31 +1006,17 @@ class FusedPipeline(PhysicalOperator):
     ``out.append`` — so a whole batch flows through the chain in a
     single Python loop with no operator re-entry, no generator hops and
     (for LETs over bindings the chain itself allocated) no intermediate
-    dict copies.  The per-binding ``run()`` and the unfused batch path
-    delegate to an equivalent rebuilt operator chain, keeping both
-    ablation baselines exact.
+    dict copies.
     """
 
     ops: tuple[PhysicalOperator, ...]
     child: PhysicalOperator | None = None
 
-    def __post_init__(self) -> None:
-        node = self.child
-        for op in self.ops:
-            node = replace(op, child=node)
-        object.__setattr__(self, "_chain_root", node)
-
     @property
     def fused_ops(self) -> tuple[PhysicalOperator, ...]:
         return self.ops
 
-    def run(self, rt, params, seed=None):
-        return self._chain_root.run(rt, params, seed)
-
     def run_batches(self, rt, params, seed=None):
-        if not use_fusion(rt):
-            yield from self._chain_root.run_batches(rt, params, seed)
-            return
         size = batch_size(rt)
         out: list[Any] = []
         bottom = self.ops[0]
@@ -1308,10 +1067,9 @@ def _build_fused_steps(
         flags.append(owned)
         if isinstance(op, (NestedLoopBind, Let)):
             owned = True
-    compiled_on = use_compiled(rt)
     fn = emit
     for op, owned_here in zip(reversed(ops), reversed(flags)):
-        fn = _fused_step(op, rt, params, fn, compiled_on, owned_here)
+        fn = _fused_step(op, rt, params, fn, owned_here)
     return fn
 
 
@@ -1320,12 +1078,11 @@ def _fused_step(
     rt: Any,
     params: dict[str, Any],
     nxt: Callable[[Any], None],
-    compiled_on: bool,
     owned: bool,
 ) -> Callable[[Any], None]:
     """One closure of the continuation chain for a fusable operator."""
     if isinstance(op, Filter):
-        cond = op._c_condition if compiled_on else interpreted(op.condition)
+        cond = op._c_condition
         if op.speculative:
 
             def spec_filter_step(binding: Binding) -> None:
@@ -1344,7 +1101,7 @@ def _fused_step(
 
         return filter_step
     if isinstance(op, Let):
-        value = op._c_value if compiled_on else interpreted(op.value)
+        value = op._c_value
         let_var = op.var
         if owned:
 
@@ -1375,7 +1132,7 @@ def _fused_step(
 
         return bind_step
     if isinstance(op, Project):
-        proj = op._c_expr if compiled_on else interpreted(op.returning.expr)
+        proj = op._c_expr
         if op.returning.distinct:
             seen: set[str] = set()
 
@@ -1443,12 +1200,6 @@ def fuse_pipelines(
 # ---------------------------------------------------------------------------
 
 
-def sort_key(rt: Any, keys: tuple[SortKey, ...], binding: Binding, params) -> tuple:
-    return tuple(
-        Orderable(rt.eval_expr(sk.expr, binding, params), sk.ascending) for sk in keys
-    )
-
-
 SortKeyFn = Callable[[Any, Binding, dict], tuple]
 
 
@@ -1463,17 +1214,6 @@ def compile_sort_keys(keys: tuple[SortKey, ...]) -> SortKeyFn:
             Orderable(ev(rt, binding, params), ascending)
             for ev, ascending in compiled
         )
-
-    return keyfn
-
-
-def sort_evaluator(rt: Any, compiled: SortKeyFn, keys: tuple[SortKey, ...]) -> SortKeyFn:
-    """The sort-key function *rt* wants: compiled or interpreter-backed."""
-    if use_compiled(rt):
-        return compiled
-
-    def keyfn(rt_: Any, binding: Binding, params: dict) -> tuple:
-        return sort_key(rt_, keys, binding, params)
 
     return keyfn
 

@@ -4,7 +4,7 @@
 repeated query re-parsed and re-optimised its text; subquery plans were
 pinned forever in ``Executor._subplans`` keyed by ``id()`` — a leak that
 could even collide after garbage collection.  :class:`PlanCache` fixes
-both, and (since E14) behaves like a **prepared-statement cache**: query
+both, and behaves like a **prepared-statement cache**: query
 text is parsed once, its literals are normalised into synthetic
 parameters (:func:`~repro.query.planner.parameterize`), and the cache
 keys plans by the resulting *shape*, so ``FILTER o.status == 'new'`` and
@@ -20,7 +20,7 @@ Two levels of bookkeeping:
 - ``_entries``: shape key → :class:`ExplainedPlan`.  The bounded LRU of
   actual plans.  Hits/misses are counted here, so a *new* text that
   resolves to an already-cached shape counts as a hit — that is the
-  prepared-statement win the E14 golden test asserts.
+  prepared-statement win ``tests/query/test_plancache.py`` asserts.
 
 Already-parsed :class:`Query` values (subqueries, constructed ASTs) skip
 parameterization and cache by AST value, exactly as before.

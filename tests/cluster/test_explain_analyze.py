@@ -178,7 +178,8 @@ class TestInstrumentation:
             counted = instrument(plan(parse(text)).root)
             executor = Executor(ctx)
             executor.analyze = True
-            assert list(counted.run(executor, {})) == plain
+            drained = [row for batch in counted.run_batches(executor, {}) for row in batch]
+            assert drained == plain
             lines = render_analyzed(counted)
             assert all("rows=" in line for line in lines)
         finally:

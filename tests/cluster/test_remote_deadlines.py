@@ -112,12 +112,7 @@ def test_close_escalates_past_a_wedged_worker(fast_deadline_db):
                 "plan": None,
                 "params": {"lo": 0},
                 "seed": None,
-                "flags": {
-                    "use_indexes": True, "use_compiled": True,
-                    "use_batches": True, "use_fusion": True,
-                    "batch_size": 256,
-                },
-                "batch_mode": False,
+                "flags": {"use_indexes": True, "batch_size": 256},
                 "trace": False,
                 "inject": {"op": "hang", "seconds": 60.0},
             },

@@ -1,11 +1,12 @@
-"""The 1-vs-4-shard half of the execution-mode differential matrix.
+"""The 1-vs-4-shard half of the engine-vs-reference differential suite.
 
-``tests/query/test_compile_parity.py`` proves the mode matrix
-{interpreted, compiled, batched, fused} identical on a single node; this
-file proves the same queries stay identical when the plan gains a
-ShardExec gather — on a degenerate 1-shard cluster and a 4-shard
-cluster — so batch shipping through the scatter/gather cannot reorder,
-drop, or duplicate rows.
+``tests/query/test_compile_parity.py`` proves the engine equal to the
+clause-at-a-time reference interpreter on a single node; this file
+proves the same queries stay equal when the plan gains a ShardExec
+gather — on a degenerate 1-shard cluster and a 4-shard cluster — so
+batch shipping through the scatter/gather cannot reorder, drop, or
+duplicate rows.  The oracle runs over the unified store's snapshot of
+the same dataset.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.workloads import QUERIES
 
-from tests.query.test_compile_parity import _VARIANT_MODES, EXECUTION_MODES
+from tests.query.test_compile_parity import _reference
 
 # Queries whose results are deterministically ordered (explicit SORT or
 # single-row lookups) compare by value+order; the rest compare as
@@ -28,40 +29,37 @@ def _canon(query, rows):
     return repr(sorted(rows, key=repr))
 
 
-@pytest.mark.parametrize("mode", _VARIANT_MODES)
+_INDEXES = pytest.mark.parametrize("use_indexes", [True, False], ids=["indexes", "scans"])
+
+
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.query_id)
-class TestShardModeMatrix:
-    def test_modes_match_interpreter_on_each_topology(
-        self, query, mode, sharded1, sharded4, small_dataset
+class TestShardTopologies:
+    @_INDEXES
+    @pytest.mark.parametrize("topology", ["sharded1", "sharded4"])
+    def test_each_topology_matches_the_reference(
+        self, query, topology, use_indexes, request, loaded_unified, small_dataset
     ):
+        cluster = request.getfixturevalue(topology)
         params = query.params(small_dataset)
-        for cluster in (sharded1, sharded4):
-            oracle = cluster.query(
-                query.text, params, **EXECUTION_MODES["interpreted"]
-            )
-            candidate = cluster.query(query.text, params, **EXECUTION_MODES[mode])
-            assert _canon(query, candidate) == _canon(query, oracle), (
-                f"{mode} diverged on {cluster.n_shards}-shard cluster"
-            )
+        oracle = _canon(query, _reference(loaded_unified, query.text, params))
+        candidate = cluster.query(query.text, params, use_indexes=use_indexes)
+        assert _canon(query, candidate) == oracle
 
     def test_topologies_agree_with_the_unified_store(
-        self, query, mode, sharded1, sharded4, loaded_unified, small_dataset
+        self, query, sharded1, sharded4, loaded_unified, small_dataset
     ):
         params = query.params(small_dataset)
-        flags = EXECUTION_MODES[mode]
-        single = loaded_unified.query(query.text, params, **flags)
-        one = sharded1.query(query.text, params, **flags)
-        four = sharded4.query(query.text, params, **flags)
+        single = loaded_unified.query(query.text, params)
+        one = sharded1.query(query.text, params)
+        four = sharded4.query(query.text, params)
         assert _canon(query, one) == _canon(query, four) == _canon(query, single)
 
 
-@pytest.mark.parametrize("mode", _VARIANT_MODES)
-def test_tiny_batches_cross_the_gather(sharded4, small_dataset, mode):
+def test_tiny_batches_cross_the_gather(sharded4, loaded_unified):
     """batch_size=1 forces a flush at every gather boundary."""
     text = "FOR o IN orders SORT o.total_price DESC LIMIT 7 RETURN o._id"
-    oracle = sharded4.query(text, **EXECUTION_MODES["interpreted"])
-    got = sharded4.query(text, batch_size=1, **EXECUTION_MODES[mode])
-    assert got == oracle
+    oracle = _reference(loaded_unified, text)
+    assert sharded4.query(text, batch_size=1) == oracle == sharded4.query(text)
 
 
 # -- process-pool column of the matrix ----------------------------------------
@@ -79,12 +77,13 @@ def sharded4p(small_dataset):
     driver.close()
 
 
-@pytest.mark.parametrize("mode", _VARIANT_MODES)
+@_INDEXES
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.query_id)
 def test_process_pool_matches_thread_pool(
-    query, mode, sharded4, sharded4p, small_dataset
+    query, use_indexes, sharded4, sharded4p, small_dataset
 ):
-    """pool="processes" is a drop-in: same rows, every query, every mode.
+    """pool="processes" is a drop-in: same rows, every query, with and
+    without indexes.
 
     Shard subplans run in forked worker processes against synced
     replicas here (with in-process fallback only for subplans that
@@ -93,9 +92,8 @@ def test_process_pool_matches_thread_pool(
     preserves the exact results of the in-process thread scatter.
     """
     params = query.params(small_dataset)
-    flags = EXECUTION_MODES[mode]
-    threaded = sharded4.query(query.text, params, **flags)
-    processed = sharded4p.query(query.text, params, **flags)
+    threaded = sharded4.query(query.text, params, use_indexes=use_indexes)
+    processed = sharded4p.query(query.text, params, use_indexes=use_indexes)
     assert _canon(query, processed) == _canon(query, threaded)
 
 

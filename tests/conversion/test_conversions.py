@@ -1,7 +1,7 @@
 """Model conversions and gold-standard verification."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.conversion.base import (
     ConversionTask,
@@ -202,6 +202,11 @@ class TestJsonKv:
         ),
         json_values, max_size=5,
     ))
+    # Strings that look like (or start like) the empty-container markers.
+    @example({"0": "\x00{}"})
+    @example({"0": "\x00[]"})
+    @example({"a": ["\x00{}"]})
+    @example({"0": "\x00x"})
     def test_roundtrip_property(self, doc):
         assert kv_pairs_to_document(document_to_kv_pairs(doc)) == doc
 

@@ -7,7 +7,6 @@ from repro.core.experiments_ext import (
     experiment_e9_migration_strategies,
     experiment_e12_commit,
     experiment_e13_compile,
-    experiment_e14_vectorized,
     experiment_ycsb,
 )
 
@@ -104,30 +103,14 @@ class TestE13:
             scale_factor=0.02, repetitions=2, eval_rows=2000, plan_hits=200
         )
         cases = [r["case"] for r in table.to_records()]
+        assert len(cases) == 2
         assert cases[0].startswith("expr_eval")
-        assert "scan_filter" in cases and "Q5" in cases and "Q7" in cases
-        assert cases[-1].startswith("plan cold vs cached")
+        assert cases[1].startswith("plan cold vs cached")
         # Wall-clock ratios are asserted at benchmark scale (the CI perf
         # smoke in benchmarks/bench_e13_compile.py); here only the shape
-        # and the experiment's internal result-parity check matter.
+        # and the experiment's internal value-parity check matter.
         assert all(r["baseline_ms"] > 0 for r in table.to_records())
         assert all(r["optimized_ms"] > 0 for r in table.to_records())
-
-
-class TestE14:
-    def test_vectorized_table_shape_and_parity(self):
-        table = experiment_e14_vectorized(scale_factor=0.02, repetitions=2)
-        cases = [r["case"] for r in table.to_records()]
-        assert cases == [
-            "scan_project", "scan_filter", "filter_let_project", "Q7"
-        ]
-        # Wall-clock ratios are asserted at benchmark scale (the CI perf
-        # smoke in benchmarks/bench_e14_vectorized.py); here only the
-        # shape and the experiment's internal mode-parity check matter.
-        for record in table.to_records():
-            assert record["interpreted_ms"] > 0
-            assert record["batched_ms"] > 0
-            assert record["fused_ms"] > 0
 
 
 class TestE15:
@@ -148,6 +131,6 @@ class TestE15:
 class TestRegistry:
     def test_extension_registry(self):
         assert set(EXTENSION_EXPERIMENTS) == {
-            "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15",
+            "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E15",
             "E16", "E17", "YCSB",
         }

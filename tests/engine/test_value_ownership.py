@@ -43,6 +43,8 @@ from repro.schema.lazy import LazyMigrator
 from repro.schema.registry import SchemaRegistry, migrate_collection
 from repro.schema.shapes import orders_shape
 
+from tests.query.test_compile_parity import _reference
+
 # ---------------------------------------------------------------------------
 # The vandal and the independent canonical form
 # ---------------------------------------------------------------------------
@@ -510,15 +512,12 @@ class TestQueryResultsNeverAlias:
 
 MODES = {
     "default": {},
-    "reference_streams": {"use_batches": False},
-    "interpreted": {"use_compiled": False},
-    "unfused": {"use_fusion": False},
     "scan_only": {"use_indexes": False},
 }
 
 
 class TestOperatorsLeaveTheStoreAlone:
-    @pytest.mark.parametrize("mode", sorted(MODES) + ["explain_analyze"])
+    @pytest.mark.parametrize("mode", sorted(MODES) + ["explain_analyze", "reference"])
     def test_store_digest_is_unchanged_by_the_query_suite(
         self, loaded, small_dataset, mode
     ):
@@ -526,6 +525,9 @@ class TestOperatorsLeaveTheStoreAlone:
         for name, text_, params in suite(small_dataset):
             if mode == "explain_analyze":
                 assert "rows_copied_out=" in loaded.explain_analyze(text_, params), name
+            elif mode == "reference":
+                # The reference reads the same borrowed rows the engine does.
+                _reference(loaded, text_, params)
             else:
                 loaded.query(text_, params, **MODES[mode])
         assert [db_digest(db) for db in cluster_dbs(loaded)] == before
@@ -535,6 +537,7 @@ class TestOperatorsLeaveTheStoreAlone:
             want = rows_canon(loaded.query(text_, params))
             for mode, flags in MODES.items():
                 assert rows_canon(loaded.query(text_, params, **flags)) == want, (name, mode)
+            assert rows_canon(_reference(loaded, text_, params)) == want, (name, "reference")
 
 
 # ---------------------------------------------------------------------------

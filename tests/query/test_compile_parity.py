@@ -1,26 +1,29 @@
-"""Differential tests: every execution mode vs the interpreter oracle.
+"""Differential tests: the engine vs the standalone reference interpreter.
 
-The engine has three ablation axes — ``use_compiled`` (closure-compiled
-expressions vs the recursive interpreter), ``use_batches`` (batch-at-a-
-time operator streams vs per-binding Volcano pulls) and ``use_fusion``
-(fused pipeline closures vs unfused batch operators).  Every combination
-must be observationally equivalent: same values, same order, same
-errors.  Layers of evidence:
+The engine runs one way — batch-at-a-time operators over closure-
+compiled expressions, fused where the plan allows.  The oracle is
+:mod:`repro.query.reference`, which shares no planner, operator or
+compiled code with it: it walks the parsed query one clause at a time
+and scans every collection.  Layers of evidence:
 
 1. every query of the E1 suite (Q1-Q12) runs end-to-end through the
-   full mode matrix {interpreted, compiled, batched, batched+fused} ×
-   {indexes, no-indexes} and must return identical results;
+   engine with and without indexes, at the default batch size and at
+   batch sizes 1 and 7, and must return the reference's rows;
 2. randomized expression trees (deterministic RNG, hundreds of shapes
-   over a mixed-type binding) evaluate identically through the
-   interpreter and the compiled closures, *including* raising the same
-   error type and message;
+   over a mixed-type binding) evaluate identically through
+   ``reference.eval_expr`` and the compiled closures, *including*
+   raising the same error type and message;
 3. the same randomized trees embedded in tiny pipelines run end-to-end
-   through every execution mode, comparing values and errors;
+   through the engine and the reference, comparing values and errors;
 4. targeted error-semantics cases (unbound variables, bad arithmetic,
    unknown functions, speculative-filter deferral) where the
    implementations could plausibly diverge.
 
-The 1-vs-4-shard half of the matrix lives in
+Order rule: without indexes the engine scans like the reference, so the
+rows must match exactly, order included.  With indexes a query whose
+FOR reads an index and has no SORT above it returns the index's order
+(``_INDEX_ORDERED``), so those compare as multisets; everything else
+stays exact.  The 1-vs-4-shard half lives in
 ``tests/cluster/test_vectorized_parity.py`` (it needs the sharded
 fixtures).
 """
@@ -31,6 +34,7 @@ import pytest
 
 from repro.core.workloads import EXTENDED_QUERIES, QUERIES
 from repro.errors import ExecutionError
+from repro.query import reference
 from repro.query.ast import (
     Binary,
     Expr,
@@ -48,42 +52,59 @@ from repro.query.compile import compile_expr
 from repro.query.executor import Executor, run_query
 from repro.util.rng import DeterministicRng, derive_seed
 
-# The execution-mode matrix: kwargs for Driver.query / run_query.
-# "interpreted" is the oracle every other mode is compared against.
-EXECUTION_MODES = {
-    "interpreted": dict(use_compiled=False, use_batches=False),
-    "compiled": dict(use_compiled=True, use_batches=False),
-    "batched": dict(use_compiled=True, use_batches=True, use_fusion=False),
-    "fused": dict(use_compiled=True, use_batches=True, use_fusion=True),
-}
+# Q4 probes orders.customer_id per friend (DISTINCT keeps the first-seen
+# product, so the index order shows); Q11 reads a range index, which
+# yields rows sorted by total_price.  The reference scans both.
+_INDEX_ORDERED = {"Q4", "Q11"}
 
-_VARIANT_MODES = [name for name in EXECUTION_MODES if name != "interpreted"]
+
+def _reference(driver, text, params=None):
+    """The reference's rows over one of *driver*'s snapshots."""
+    ctx = driver.query_context()
+    try:
+        return reference.execute(ctx, text, params)
+    finally:
+        close = getattr(ctx, "close", None)
+        if close is not None:
+            close()
+
+
+def _multiset(rows):
+    return sorted(map(repr, rows))
 
 
 # ---------------------------------------------------------------------------
-# 1. E1 suite parity, end to end, full mode matrix
+# 1. E1 suite parity, end to end
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", _VARIANT_MODES)
+# Batch sizes the E1 suite runs at: the default, 1 (a flush at every
+# row) and 7 (batches that straddle every operator's input unevenly).
+_BATCH_SIZES = {"default": None, "batch1": 1, "batch7": 7}
+
+
+@pytest.mark.parametrize("batch_size", list(_BATCH_SIZES.values()), ids=list(_BATCH_SIZES))
 @pytest.mark.parametrize("query", QUERIES + EXTENDED_QUERIES, ids=lambda q: q.query_id)
-def test_e1_suite_modes_match_interpreter(query, mode, loaded_unified, small_dataset):
+def test_e1_suite_matches_the_reference(query, batch_size, loaded_unified, small_dataset):
     params = query.params(small_dataset)
-    oracle = loaded_unified.query(query.text, params, **EXECUTION_MODES["interpreted"])
-    candidate = loaded_unified.query(query.text, params, **EXECUTION_MODES[mode])
-    assert repr(candidate) == repr(oracle)
+    oracle = _reference(loaded_unified, query.text, params)
+    engine = loaded_unified.query(query.text, params, batch_size=batch_size)
+    if query.query_id in _INDEX_ORDERED:
+        assert _multiset(engine) == _multiset(oracle)
+    else:
+        assert repr(engine) == repr(oracle)
 
 
-@pytest.mark.parametrize("mode", _VARIANT_MODES)
-@pytest.mark.parametrize("query", QUERIES[:5], ids=lambda q: q.query_id)
-def test_e1_suite_parity_without_indexes(query, mode, loaded_unified, small_dataset):
-    """The ablation axes compose: scans + any mode == scans + interpreter."""
+@pytest.mark.parametrize("batch_size", list(_BATCH_SIZES.values()), ids=list(_BATCH_SIZES))
+@pytest.mark.parametrize("query", QUERIES + EXTENDED_QUERIES, ids=lambda q: q.query_id)
+def test_e1_suite_without_indexes_matches_the_reference_exactly(
+    query, batch_size, loaded_unified, small_dataset
+):
+    """Scans on both sides: same rows in the same order."""
     params = query.params(small_dataset)
-    oracle = loaded_unified.query(
-        query.text, params, use_indexes=False, **EXECUTION_MODES["interpreted"]
-    )
+    oracle = _reference(loaded_unified, query.text, params)
     candidate = loaded_unified.query(
-        query.text, params, use_indexes=False, **EXECUTION_MODES[mode]
+        query.text, params, use_indexes=False, batch_size=batch_size
     )
     assert repr(candidate) == repr(oracle)
 
@@ -92,9 +113,12 @@ def test_e1_suite_parity_without_indexes(query, mode, loaded_unified, small_data
 def test_e1_suite_parity_with_tiny_batches(query, loaded_unified, small_dataset):
     """A pathological batch size (1) exercises every flush boundary."""
     params = query.params(small_dataset)
-    oracle = loaded_unified.query(query.text, params, **EXECUTION_MODES["interpreted"])
     tiny = loaded_unified.query(query.text, params, batch_size=1)
-    assert repr(tiny) == repr(oracle)
+    assert repr(tiny) == repr(loaded_unified.query(query.text, params))
+    oracle = _reference(loaded_unified, query.text, params)
+    assert _multiset(tiny) == _multiset(oracle)
+    scans = loaded_unified.query(query.text, params, use_indexes=False, batch_size=1)
+    assert repr(scans) == repr(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -187,24 +211,24 @@ _PARAMS = {"p": 10, "q": "sh%"}
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_trees_agree_values_and_errors(seed):
     rng = DeterministicRng(derive_seed(42, "compile-parity", seed))
-    oracle = Executor(ctx=None)
+    rt = Executor(ctx=None)
     for _ in range(150):
         expr = _random_expr(rng, depth=4)
-        interpreted = _outcome(lambda: oracle.eval_expr(expr, _BINDING, _PARAMS))
+        interpreted = _outcome(lambda: reference.eval_expr(expr, _BINDING, _PARAMS))
         compiled_fn = compile_expr(expr)
-        compiled = _outcome(lambda: compiled_fn(oracle, _BINDING, _PARAMS))
+        compiled = _outcome(lambda: compiled_fn(rt, _BINDING, _PARAMS))
         assert compiled == interpreted, f"divergence on {expr!r}"
 
 
 # ---------------------------------------------------------------------------
-# 3. Randomized trees embedded in pipelines, full mode matrix
+# 3. Randomized trees embedded in pipelines, engine vs reference
 # ---------------------------------------------------------------------------
 
 
 def _pipeline_query(expr: Expr):
     """A tiny FOR/LET pipeline binding the reference binding, then RETURN
     *expr* — so the random tree runs through the full operator stack
-    (bind, lets, project; fused in batch mode)."""
+    (bind, lets, project; fused)."""
     from repro.query.ast import (
         ForClause,
         LetClause,
@@ -223,20 +247,16 @@ def _pipeline_query(expr: Expr):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_randomized_pipelines_agree_across_modes(seed):
+def test_randomized_pipelines_agree_with_the_reference(seed):
     rng = DeterministicRng(derive_seed(42, "vector-parity", seed))
     run_params = dict(_PARAMS)
     run_params.update({f"__{k}": v for k, v in _BINDING.items()})
     for _ in range(60):
         expr = _random_expr(rng, depth=4)
         query = _pipeline_query(expr)
-        outcomes = {}
-        for mode, flags in EXECUTION_MODES.items():
-            executor = Executor(ctx=None, **flags)
-            outcomes[mode] = _outcome(lambda: executor.execute(query, run_params))
-        oracle = outcomes.pop("interpreted")
-        for mode, outcome in outcomes.items():
-            assert outcome == oracle, f"{mode} diverged on {expr!r}"
+        oracle = _outcome(lambda: reference.execute(None, query, run_params))
+        engine = _outcome(lambda: Executor(ctx=None).execute(query, run_params))
+        assert engine == oracle, f"engine diverged on {expr!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -276,46 +296,42 @@ _ERROR_EXPRS = [
 ]
 
 
+def _both(ctx, text, **engine_flags):
+    """{"reference": outcome, "engine": outcome} for *text* on *ctx*."""
+    return {
+        "reference": _outcome(lambda: reference.execute(ctx, text)),
+        "engine": _outcome(lambda: run_query(ctx, text, **engine_flags)),
+    }
+
+
 @pytest.mark.parametrize("text", _ERROR_EXPRS)
 def test_error_parity(tiny_ctx, text):
-    modes = {}
-    for mode, flags in EXECUTION_MODES.items():
-        try:
-            run_query(tiny_ctx, text, **flags)
-            modes[mode] = ("ok", None)
-        except ExecutionError as exc:
-            modes[mode] = (type(exc).__name__, str(exc))
-    oracle = modes.pop("interpreted")
-    assert oracle[0] != "ok"
-    for mode, outcome in modes.items():
-        assert outcome == oracle, f"{mode} diverged"
+    outcomes = _both(tiny_ctx, text)
+    assert outcomes["reference"][1] is not None
+    assert outcomes["engine"] == outcomes["reference"]
 
 
 def test_erroring_argument_beats_unknown_function(tiny_ctx):
-    """All modes evaluate arguments before raising unknown-function."""
-    for flags in EXECUTION_MODES.values():
-        with pytest.raises(ExecutionError, match="unbound variable"):
-            run_query(tiny_ctx, "RETURN NO_SUCH_FN(ghost)", **flags)
+    """Both evaluate arguments before raising unknown-function."""
+    with pytest.raises(ExecutionError, match="unbound variable"):
+        reference.execute(tiny_ctx, "RETURN NO_SUCH_FN(ghost)")
+    with pytest.raises(ExecutionError, match="unbound variable"):
+        run_query(tiny_ctx, "RETURN NO_SUCH_FN(ghost)")
 
 
-def test_speculative_filter_defers_errors_in_all_modes(tiny_ctx):
-    """A hoisted conjunct that errors must not invent failures (in any
-    execution mode) — the strict original still raises when reached."""
+def test_speculative_filter_defers_errors(tiny_ctx):
+    """A hoisted conjunct that errors must not invent failures — the
+    strict original still raises when reached."""
     text = (
         "FOR r IN rows FOR x IN [1] "
         "FILTER x == 1 AND r.v * 2 > 4 RETURN r._id"
     )
-    results = {
-        mode: run_query(tiny_ctx, text, **flags)
-        for mode, flags in EXECUTION_MODES.items()
-    }
-    assert all(result == [1] for result in results.values()), results
+    assert _both(tiny_ctx, text) == {"reference": ("[1]", None), "engine": ("[1]", None)}
 
 
 def test_like_compiles_pattern_once_and_agrees(tiny_ctx):
     text = "FOR r IN rows FILTER r.s LIKE '_b%' RETURN r._id"
-    for flags in EXECUTION_MODES.values():
-        assert run_query(tiny_ctx, text, **flags) == [1]
+    assert reference.execute(tiny_ctx, text) == run_query(tiny_ctx, text) == [1]
 
 
 def test_subqueries_agree(tiny_ctx):
@@ -324,21 +340,15 @@ def test_subqueries_agree(tiny_ctx):
         "LET doubled = (FOR x IN [1, 2] RETURN x * r.v) "
         "RETURN {id: r._id, doubled}"
     )
-    results = {
-        mode: run_query(tiny_ctx, text, **flags)
-        for mode, flags in EXECUTION_MODES.items()
-    }
-    oracle = results.pop("interpreted")
-    for mode, result in results.items():
-        assert result == oracle, f"{mode} diverged"
+    oracle = reference.execute(tiny_ctx, text)
+    assert run_query(tiny_ctx, text) == oracle
+    assert oracle == [{"id": 1, "doubled": [5, 10]}, {"id": 2, "doubled": [0, 0]}]
 
 
-def test_distinct_dedupes_across_batch_boundaries(tiny_ctx):
+def test_distinct_dedupes_across_batch_boundaries():
     # 5 distinct values, each repeated; batch_size=2 forces the DISTINCT
-    # seen-set to carry across many batches in every batch mode.
+    # seen-set to carry across many batches.
     ctx = _TinyContext(rows=[{"k": i % 5} for i in range(40)])
     text = "FOR r IN rows RETURN DISTINCT r.k"
-    oracle = run_query(ctx, text, **EXECUTION_MODES["interpreted"])
-    for mode in _VARIANT_MODES:
-        got = run_query(ctx, text, batch_size=2, **EXECUTION_MODES[mode])
-        assert got == oracle == [0, 1, 2, 3, 4]
+    oracle = reference.execute(ctx, text)
+    assert run_query(ctx, text, batch_size=2) == oracle == [0, 1, 2, 3, 4]

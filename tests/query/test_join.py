@@ -1,10 +1,10 @@
 """EquiJoin: the join operator against oracles that share no join code.
 
 The bench's polyglot oracle runs the same executor, so it cannot catch a
-join bug; these tests compare the operator's native (batch) body with
-the reference mode — ``use_batches=False``, which rebuilds the nested
-loop the operator replaced — and with plain Python comprehensions and
-hand-rolled dict joins over the raw data.
+join bug; these tests compare the operator with the standalone reference
+interpreter (:mod:`repro.query.reference`, a clause-at-a-time nested
+loop that never reads an index) and with plain Python comprehensions
+and hand-rolled dict joins over the raw data.
 """
 
 from __future__ import annotations
@@ -21,10 +21,13 @@ from repro.cluster.sharded import ShardedDatabase
 from repro.core.workloads import QUERY_BY_ID
 from repro.datagen.load import load_dataset
 from repro.errors import ExecutionError
+from repro.query import reference
 from repro.query.executor import Executor
 from repro.query.parser import parse
 from repro.query.physical import EquiJoin, explain_tree
 from repro.query.planner import plan
+
+from tests.query.test_compile_parity import _reference
 
 
 class _Ctx:
@@ -161,8 +164,7 @@ def test_join_matches_nested_loop_and_comprehension(shape, sides, batch):
     for ctx_kwargs, use_indexes in configs:
         ctx = _Ctx(outer=outer, inner=inner, **ctx_kwargs)
         native = Executor(ctx, use_indexes=use_indexes, batch_size=batch)
-        reference = Executor(ctx, use_indexes=use_indexes, use_batches=False)
-        assert native.execute(text) == reference.execute(text) == expected
+        assert native.execute(text) == reference.execute(ctx, text) == expected
         stats = native.stats
         probed_index = stats["join_index_probes"] > 0
         if not outer:
@@ -227,8 +229,7 @@ _INNER = [_row(i, i % 4, tag="xy"[i % 2]) for i in range(9)]
 def test_order_sensitive_consumers_are_unchanged(text, batch):
     ctx = _Ctx(outer=_OUTER, inner=_INNER)
     native = Executor(ctx, batch_size=batch).execute(text)
-    reference = Executor(ctx, use_batches=False).execute(text)
-    assert native == reference and native
+    assert native == reference.execute(ctx, text) and native
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +249,23 @@ def test_empty_outer_side_never_runs_the_inner_side():
     assert executor.execute(_RAISING) == []
     assert ctx.scans["inner"] == 0 and executor.stats["join_builds"] == 0
     ctx = _Ctx(outer=[_row(0, 1)], inner=[_row(0, 1, items=[])])
-    for flags in (dict(), dict(use_batches=False)):
+    for run in (Executor(ctx).execute, lambda text: reference.execute(ctx, text)):
         with pytest.raises(ExecutionError, match="division by zero"):
-            Executor(ctx, **flags).execute(_RAISING)
+            run(_RAISING)
 
 
 def test_erroring_keys_reach_the_residual_filter_instead_of_being_dropped():
     # b.k.x raises on a string k; the nested loop raises it in the FILTER.
     text = "FOR a IN outer FOR b IN inner FILTER b.k.x == a.k RETURN b._id"
     ctx = _Ctx(outer=[_row(0, 1)], inner=[_row(0, {"x": 1}), _row(1, "s")])
-    for flags in (dict(), dict(use_batches=False)):
+    for run in (Executor(ctx).execute, lambda text: reference.execute(ctx, text)):
         with pytest.raises(ExecutionError, match="field access"):
-            Executor(ctx, **flags).execute(text)
+            run(text)
     text = "FOR a IN outer FOR b IN inner FILTER b.k == a.k.x RETURN b._id"
     ctx = _Ctx(outer=[_row(0, "s")], inner=[_row(0, 1)])
-    for flags in (dict(), dict(use_batches=False)):
+    for run in (Executor(ctx).execute, lambda text: reference.execute(ctx, text)):
         with pytest.raises(ExecutionError, match="field access"):
-            Executor(ctx, **flags).execute(text)
+            run(text)
 
 
 def test_build_runs_once_per_execute_and_never_outlives_it():
@@ -281,7 +282,7 @@ def test_build_runs_once_per_execute_and_never_outlives_it():
     inner.append(_row(2, 1))
     assert executor.execute(text) == [[0, 2, 1]] * 3
     assert executor.stats["join_builds"] == 2
-    assert Executor(ctx, use_batches=False).execute(text) == [[0, 2, 1]] * 3
+    assert reference.execute(ctx, text) == [[0, 2, 1]] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ def test_shapes_that_keep_the_nested_loop(text):
     ctx = _Ctx(outer=outer, inner=[_row(0, 1), _row(1, 2), _row(2, 2)])
     params = {"key": 2}
     native = Executor(ctx).execute(text, params)
-    assert native == Executor(ctx, use_batches=False).execute(text, params)
+    assert native == reference.execute(ctx, text, params)
     assert native
 
 
@@ -327,11 +328,12 @@ def test_collection_shadowed_through_a_subquery_seed_keeps_its_answer():
     ctx = _Ctx(
         {("inner", "k")}, us=[1, 2], outer=[_row(0, 1)], inner=[_row("coll", 1)]
     )
-    for flags in (dict(), dict(use_indexes=False), dict(use_batches=False)):
-        executor = Executor(ctx, **flags)
+    for use_indexes in (True, False):
+        executor = Executor(ctx, use_indexes=use_indexes)
         assert executor.execute(text) == [["var"], ["var"]]
         assert executor.stats["join_builds"] == 0
         assert executor.stats["join_index_probes"] == 0
+    assert reference.execute(ctx, text) == [["var"], ["var"]]
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +365,9 @@ def _assert_q7(rows, dataset):
 @pytest.mark.parametrize("fixture", ["loaded_unified", "loaded_polyglot"])
 def test_q7_equals_hand_rolled_join_single_node(fixture, request, small_dataset):
     driver = request.getfixturevalue(fixture)
-    for flags in (dict(), dict(use_indexes=False), dict(use_batches=False)):
-        _assert_q7(driver.query(QUERY_BY_ID["Q7"].text, **flags), small_dataset)
+    for use_indexes in (True, False):
+        _assert_q7(driver.query(QUERY_BY_ID["Q7"].text, use_indexes=use_indexes), small_dataset)
+    _assert_q7(_reference(driver, QUERY_BY_ID["Q7"].text), small_dataset)
 
 
 @pytest.mark.parametrize("pool", ["threads", "processes"])
