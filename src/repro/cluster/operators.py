@@ -20,8 +20,10 @@ Routing happens at run time, when parameters are known:
 Shard workers share nothing mutable: each owns one shard context and a
 private stats dict (merged after the gather), bindings are copied per
 worker, and every expression the planner pushes below the gather is
-*cheap* (field paths, literals, parameters, comparisons — no builtin
-calls), so worker threads never touch the global query context.
+pure and row-local (``planning.shard_safe``: operators, arithmetic and
+builtins that read only their arguments, XPATH included — bridges and
+subqueries stay above the gather), so worker threads never touch the
+global query context.
 
 Execution of a multi-target scatter is pool-agnostic: when the cluster
 is configured with ``pool="processes"`` each shard's subplan is pickled
@@ -94,9 +96,9 @@ class _ShardRuntime:
         self.trace_id = getattr(parent, "trace_id", None)
 
     def run_subquery(self, query: Any, binding: Binding, params: dict[str, Any]) -> Any:
-        # Subqueries are never pushed below the gather (not "cheap"),
-        # but stay correct if one ever reaches a worker: the parent
-        # executor runs it through the shared plan cache.
+        # Subqueries are never pushed below the gather (``shard_safe``
+        # rejects them), but stay correct if one ever reaches a worker:
+        # the parent executor runs it through the shared plan cache.
         return self._parent.run_subquery(query, binding, params)
 
 

@@ -10,15 +10,18 @@ whose subplan runs per shard:
 - **Routing** — an equality predicate on the collection's shard key
   (with a parameter/literal key) pins the subplan to one shard; range
   bounds on the shard key let a range partitioner prune shards.
-- **Pushdown below the gather** — cheap Filters/LETs (field paths,
-  comparisons, no builtin calls: exactly the planner's ``_is_cheap``
-  predicate, which also guarantees thread safety in shard workers) run
-  inside the shard workers; a SORT becomes per-shard sort + ordered
+- **Pushdown below the gather** — Filters/LETs whose expressions are
+  pure and row-local (:func:`shard_safe`: field paths, operators,
+  arithmetic, ``IN``, object/list literals and builtins that read only
+  their arguments, XPATH included) run inside the shard workers, so a
+  per-row computation such as an XPath total is evaluated where the
+  data lives and only the rows that survive cross the gather; bridges
+  and subqueries stay above it.  A SORT becomes per-shard sort + ordered
   merge (a parallel MergeSort); a fused TopK becomes per-shard partial
   top-(offset+count) + ordered merge + a global LIMIT; a bare LIMIT
   becomes a per-shard limit + global re-limit.
 - **Two-phase aggregation** — a COLLECT whose keys and aggregate
-  arguments are cheap (and which has no ``INTO`` group collection)
+  arguments are shard-safe (and which has no ``INTO`` group collection)
   splits into a per-shard ``HashAggregate(partial)`` below the gather
   plus a coordinator-side ``HashAggregate(final)`` that re-groups the
   shipped states and merges them (AVG merges exact ``(sum, count)``
@@ -32,15 +35,18 @@ Everything above the gather still runs single-threaded against the
 :class:`~repro.cluster.sharded.ShardedQueryContext`, which implements
 the full QueryContext protocol — so joins, COLLECT, subqueries and
 builtin bridges (DOCUMENT, KVGET, TRAVERSE...) are always correct even
-when they cannot be parallelised.
+when they cannot be parallelised.  A bridge must stay there: inside a
+shard worker its ``ctx`` is that one shard's context, which would see
+only a slice of the collection it reads.
 
 **Serializability contract**: the subplan handed to ShardExec must be
 a pure tree of physical operators over AST expressions — no captured
 contexts, no open snapshots, no references above the gather.  The
-``_is_cheap`` pushdown predicate enforces this implicitly (field paths,
-literals, parameters and comparisons only), which is what lets the
-process pool (``repro.cluster.remote``) pickle the subplan and ship it
-to shard worker processes byte-for-byte: the compiled closures are
+:func:`shard_safe` pushdown predicate enforces this (no subqueries, no
+bridges: nothing below the gather reads beyond its own row), which is
+what lets the process pool (``repro.cluster.remote``) pickle the
+subplan and ship it to shard worker processes byte-for-byte, and what
+keeps worker threads off shared state: the compiled closures are
 plan-time derivatives, dropped by ``__getstate__`` and rebuilt by
 ``__post_init__`` on the worker.  Anything unpicklable falls back to
 the in-process thread scatter at dispatch time, never to a wrong
@@ -59,9 +65,13 @@ from repro.query.ast import (
     Binary,
     CollectClause,
     Expr,
+    FunctionCall,
+    Subquery,
     VarRef,
     free_variables,
+    walk_expr,
 )
+from repro.query.functions import is_bridge, is_builtin
 from repro.query.physical import (
     ExpressionSource,
     Filter,
@@ -83,8 +93,6 @@ def apply_sharding(
     root: PhysicalOperator, catalog: Any, notes: list[str]
 ) -> PhysicalOperator:
     """Rewrite *root* with a ShardExec gather when the bottom FOR is sharded."""
-    from repro.query.planner import _is_cheap  # shared cost/safety predicate
-
     chain: list[PhysicalOperator] = []
     node: PhysicalOperator | None = root
     while node is not None:
@@ -98,20 +106,20 @@ def apply_sharding(
         return root
     shard_key = catalog.shard_key(collection)
 
-    # -- shard-safe segment: bottom bind + cheap Filters/LETs/inner FORs ----
+    # -- shard-safe segment: bottom bind + pure Filters/LETs/inner FORs -----
     segment: list[PhysicalOperator] = [bottom]  # bottom-first
     idx = len(chain) - 2
     while idx >= 0:
         op = chain[idx]
-        if isinstance(op, Filter) and _is_cheap(op.condition):
+        if isinstance(op, Filter) and shard_safe(op.condition):
             segment.append(op)
-        elif isinstance(op, Let) and _is_cheap(op.value):
+        elif isinstance(op, Let) and shard_safe(op.value):
             segment.append(op)
         elif (
             isinstance(op, NestedLoopBind)
             and isinstance(op.access, ExpressionSource)
             and not op.access.is_var
-            and _is_cheap(op.access.source)
+            and shard_safe(op.access.source)
         ):
             segment.append(op)  # e.g. FOR it IN o.items
         else:
@@ -135,7 +143,7 @@ def apply_sharding(
     merge_keys: tuple = ()
     wrapper: PhysicalOperator | None = None
     final_agg: PhysicalOperator | None = None
-    if idx >= 0 and route_expr is None and _splittable(chain[idx], _is_cheap):
+    if idx >= 0 and route_expr is None and _splittable(chain[idx]):
         op = chain[idx]
         assert isinstance(op, HashAggregate)
         subplan = replace(op, mode="partial", child=subplan)
@@ -149,7 +157,7 @@ def apply_sharding(
     # -- push SORT / TopK / LIMIT below the gather --------------------------
     if final_agg is None and idx >= 0:
         op = chain[idx]
-        if isinstance(op, TopK) and all(_is_cheap(k.expr) for k in op.keys):
+        if isinstance(op, TopK) and all(shard_safe(k.expr) for k in op.keys):
             subplan = TopK(op.keys, _window(op.count, op.offset), None, subplan)
             merge_keys = op.keys
             wrapper = Limit(op.count, op.offset, None)
@@ -158,7 +166,7 @@ def apply_sharding(
                 "+ ordered merge + global LIMIT"
             )
             idx -= 1
-        elif isinstance(op, Sort) and all(_is_cheap(k.expr) for k in op.keys):
+        elif isinstance(op, Sort) and all(shard_safe(k.expr) for k in op.keys):
             subplan = Sort(op.keys, subplan)
             merge_keys = op.keys
             notes.append("sharding: SORT parallelised into per-shard sort + ordered merge")
@@ -204,11 +212,33 @@ def apply_sharding(
     return gather
 
 
-def _splittable(op: PhysicalOperator, is_cheap: Any) -> bool:
+def shard_safe(expr: Expr) -> bool:
+    """True when *expr* may be evaluated inside a shard worker.
+
+    Accepts every pure, row-local expression: literals, parameters,
+    variables, field and index access, all unary and binary operators
+    (arithmetic and ``IN`` included), object and list literals, and
+    calls to builtins that read only their arguments.  Rejects
+    subqueries and bridge builtins (``functions.is_bridge``), which
+    read other collections through ``ctx`` — in a worker that is one
+    shard's context — and calls to unknown functions, whose error is
+    raised above the gather.
+    """
+    for node in walk_expr(expr):
+        if isinstance(node, Subquery):
+            return False
+        if isinstance(node, FunctionCall) and (
+            is_bridge(node.name) or not is_builtin(node.name)
+        ):
+            return False
+    return True
+
+
+def _splittable(op: PhysicalOperator) -> bool:
     """Can this COLLECT run as partial-per-shard + final-at-coordinator?
 
     Requires a single-phase HashAggregate whose key and aggregate
-    expressions are cheap (pure, thread-safe in shard workers), whose
+    expressions are shard-safe (pure and row-local), whose
     functions all decompose (their ``merge`` is exact over any input
     partitioning), and which collects no ``INTO`` member lists — those
     embed whole bindings and cannot merge from partial states.
@@ -219,8 +249,8 @@ def _splittable(op: PhysicalOperator, is_cheap: Any) -> bool:
     return (
         clause.into is None
         and all(agg.func in DECOMPOSABLE for agg in clause.aggregations)
-        and all(is_cheap(expr) for _, expr in clause.keys)
-        and all(is_cheap(agg.arg) for agg in clause.aggregations)
+        and all(shard_safe(expr) for _, expr in clause.keys)
+        and all(shard_safe(agg.arg) for agg in clause.aggregations)
     )
 
 

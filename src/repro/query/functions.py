@@ -1,9 +1,15 @@
 """MMQL builtin functions.
 
-Scalar builtins are pure; *bridge* builtins (TRAVERSE, KV, KVGET, XPATH,
-XMLGET, VERTICES, EDGES, SHORTEST_PATH, DOCUMENT) reach into the
-:class:`~repro.query.context.QueryContext` — they are what make MMQL
-multi-model.
+Most builtins are pure: they read only their arguments (XPATH and
+JSONPATH included — they evaluate a path over a value already bound).
+*Bridge* builtins (XMLGET, KVGET, KV, TRAVERSE, VERTICES, EDGES,
+SHORTEST_PATH, DOCUMENT) reach into the
+:class:`~repro.query.context.QueryContext` to read other collections —
+they are what make MMQL multi-model.  Bridges are declared where they
+are registered (``register(name, bridge=True)``) and reported by
+:func:`is_bridge`, so the shard planner's pushdown rule cannot drift
+from the code: a bridge evaluated inside a shard worker would see only
+that shard's data.
 """
 
 from __future__ import annotations
@@ -20,11 +26,15 @@ from repro.models.xml.xpath import XPath
 Builtin = Callable[[Any, list[Any]], Any]
 
 _REGISTRY: dict[str, Builtin] = {}
+_BRIDGES: set[str] = set()
 
 
-def register(name: str) -> Callable[[Builtin], Builtin]:
+def register(name: str, bridge: bool = False) -> Callable[[Builtin], Builtin]:
+    """Register a builtin; ``bridge=True`` marks one that reads ``ctx``."""
     def wrap(fn: Builtin) -> Builtin:
         _REGISTRY[name] = fn
+        if bridge:
+            _BRIDGES.add(name)
         return fn
 
     return wrap
@@ -44,6 +54,11 @@ def lookup_builtin(name: str) -> Builtin | None:
 
 def is_builtin(name: str) -> bool:
     return name in _REGISTRY
+
+
+def is_bridge(name: str) -> bool:
+    """True for a builtin that reads other collections through ``ctx``."""
+    return name in _BRIDGES
 
 
 def builtin_names() -> list[str]:
@@ -384,7 +399,7 @@ def _date_month(ctx: Any, args: list[Any]) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Model-bridge builtins
+# Path builtins: pure, they evaluate over a value already bound
 # ---------------------------------------------------------------------------
 
 
@@ -406,28 +421,33 @@ def _xpath(ctx: Any, args: list[Any]) -> list[Any]:
     return XPath(str(path)).find(tree)
 
 
-@register("XMLGET")
+# ---------------------------------------------------------------------------
+# Model-bridge builtins: read other collections through ctx
+# ---------------------------------------------------------------------------
+
+
+@register("XMLGET", bridge=True)
 def _xmlget(ctx: Any, args: list[Any]) -> Any:
     _arity("XMLGET", args, 2)
     collection, doc_id = args
     return ctx.xml_get(str(collection), doc_id)
 
 
-@register("KVGET")
+@register("KVGET", bridge=True)
 def _kvget(ctx: Any, args: list[Any]) -> Any:
     _arity("KVGET", args, 2)
     namespace, key = args
     return ctx.kv_get(str(namespace), str(key))
 
 
-@register("KV")
+@register("KV", bridge=True)
 def _kv(ctx: Any, args: list[Any]) -> list[Any]:
     _arity("KV", args, 2)
     namespace, prefix = args
     return list(ctx.kv_prefix(str(namespace), str(prefix)))
 
 
-@register("TRAVERSE")
+@register("TRAVERSE", bridge=True)
 def _traverse(ctx: Any, args: list[Any]) -> list[Any]:
     _arity("TRAVERSE", args, 4, 5)
     graph, start, min_depth, max_depth = args[:4]
@@ -437,21 +457,21 @@ def _traverse(ctx: Any, args: list[Any]) -> list[Any]:
     )
 
 
-@register("VERTICES")
+@register("VERTICES", bridge=True)
 def _vertices(ctx: Any, args: list[Any]) -> list[Any]:
     _arity("VERTICES", args, 1, 2)
     label = str(args[1]) if len(args) == 2 and args[1] is not None else None
     return list(ctx.vertices(str(args[0]), label))
 
 
-@register("EDGES")
+@register("EDGES", bridge=True)
 def _edges(ctx: Any, args: list[Any]) -> list[Any]:
     _arity("EDGES", args, 1, 2)
     label = str(args[1]) if len(args) == 2 and args[1] is not None else None
     return list(ctx.edges(str(args[0]), label))
 
 
-@register("SHORTEST_PATH")
+@register("SHORTEST_PATH", bridge=True)
 def _shortest_path(ctx: Any, args: list[Any]) -> list[Any] | None:
     _arity("SHORTEST_PATH", args, 3, 4)
     graph, start, goal = args[:3]
@@ -459,7 +479,7 @@ def _shortest_path(ctx: Any, args: list[Any]) -> list[Any] | None:
     return ctx.shortest_path(str(graph), start, goal, label)
 
 
-@register("DOCUMENT")
+@register("DOCUMENT", bridge=True)
 def _document(ctx: Any, args: list[Any]) -> Any:
     """DOCUMENT(collection, id) — point lookup in any keyed collection."""
     _arity("DOCUMENT", args, 2)

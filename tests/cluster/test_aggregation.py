@@ -12,6 +12,7 @@ import re
 import pytest
 
 from repro.cluster.sharded import ShardedDatabase
+from repro.core.workloads import QUERY_BY_ID
 from repro.drivers.unified import UnifiedDriver
 
 # Documents exercising the aggregate edge cases: explicit nulls, missing
@@ -210,11 +211,27 @@ class TestPlanShape:
         assert "HashAggregate(single)" in plan
         assert "HashAggregate(partial)" not in plan
 
-    def test_expensive_key_stays_single_phase(self, sharded4):
-        # A builtin call in the group key is not shard-worker safe.
-        plan = sharded4.explain(
+    def test_pure_builtin_key_splits_and_matches_unified(
+        self, sharded4, loaded_unified
+    ):
+        # A builtin that reads only its argument runs in the shard workers.
+        text = (
             "FOR o IN orders COLLECT y = DATE_YEAR(o.order_date) "
             "AGGREGATE n = COUNT(1) RETURN {y, n}"
+        )
+        plan = sharded4.explain(text)
+        assert "HashAggregate(partial)" in plan and "HashAggregate(final)" in plan
+        assert self._depth_of(plan, "ShardExec") < self._depth_of(
+            plan, "HashAggregate(partial)"
+        )
+        assert sharded4.query(text) == loaded_unified.query(text)
+
+    def test_bridge_key_stays_single_phase(self, sharded4):
+        # DOCUMENT reads another collection: in a worker it would see one
+        # shard's slice, so the whole COLLECT stays above the gather.
+        plan = sharded4.explain(
+            'FOR o IN orders COLLECT c = DOCUMENT("customers", o.customer_id).country '
+            "AGGREGATE n = COUNT(1) RETURN {c, n}"
         )
         assert "HashAggregate(single)" in plan
         assert "HashAggregate(partial)" not in plan
@@ -242,3 +259,24 @@ class TestGatherVolume:
         assert rows["ShardExec"] < len(small_dataset.orders)
         assert rows["NestedLoopBind"] == len(small_dataset.orders)
         assert rows["Project"] == len(statuses)
+
+    @pytest.mark.parametrize("threshold", [None, 0])
+    def test_q6_ships_at_most_limit_rows_per_shard(
+        self, sharded4, small_dataset, threshold
+    ):
+        # The XPath LET and its FILTER run in the workers, so each shard
+        # ships only its partial top-LIMIT: at most 4 x 20 rows cross
+        # the gather, not every invoice.  threshold=0 keeps every
+        # invoice past the FILTER, so only the per-shard TopK bounds it.
+        query = QUERY_BY_ID["Q6"]
+        params = query.params(small_dataset)
+        if threshold is not None:
+            params["threshold"] = threshold
+        report = sharded4.explain_analyze(query.text, params)
+        rows = {
+            name: int(count)
+            for name, count in re.findall(r"(\w+)[^\n]*?\(rows=(\d+)", report)
+        }
+        assert rows["ShardExec"] <= 4 * 20
+        assert rows["ShardExec"] < len(small_dataset.invoices)
+        assert rows["Project"] == min(20, rows["ShardExec"])

@@ -202,6 +202,24 @@ class TestClusterExplain:
         shard_line = plan.index("ShardExec")
         assert plan.index("Filter", shard_line) > shard_line  # filter inside subplan
 
+    def test_q6_xpath_let_runs_below_the_gather(self, sharded4):
+        # Limit -> ShardExec[ordered merge] -> TopK -> Fused[scan->Let->Filter]:
+        # the XPath LET and its FILTER run in the shard workers.
+        q6 = next(q for q in QUERIES if q.query_id == "Q6")
+        plan = sharded4.explain(q6.text)
+        positions = [
+            plan.index(fragment)
+            for fragment in (
+                "Limit [",
+                "ShardExec [scatter: all 4 shards; gather: ordered merge",
+                "TopK [",
+                "FusedPipeline[NestedLoopBind inv→Let total→Filter]",
+                "Let total = TO_NUMBER(FIRST(XPATH(inv.root",
+            )
+        ]
+        assert positions == sorted(positions)
+        assert "sharding: TopK split into per-shard partial top-k" in plan
+
     def test_broadcast_and_single_shard_plans_stay_single_node(
         self, sharded4, sharded1
     ):

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import ExecutionError
+from repro.models.xml import parse_xml
 from repro.query.executor import run_query
-from repro.query.functions import builtin_names, is_builtin
+from repro.query.functions import builtin_names, call_builtin, is_bridge, is_builtin
 
 from tests.query.test_executor import ListContext
 
@@ -91,6 +92,38 @@ class TestDateFunctions:
         assert sum(r["n"] for r in out) == len(small_dataset.orders)
 
 
+class _CtxTouched(Exception):
+    pass
+
+
+class _UntouchableCtx:
+    """A query context whose every attribute access raises."""
+
+    def __getattr__(self, name):
+        raise _CtxTouched(name)
+
+
+BUILTIN_SAMPLES = {
+    "LENGTH": [[1, 2]], "CONCAT": ["a", 1], "UPPER": ["a"], "LOWER": ["A"],
+    "CONTAINS": ["abc", "b"], "SUBSTRING": ["abc", 1, 1], "ROUND": [1.25, 1],
+    "FLOOR": [1.5], "CEIL": [1.5], "ABS": [-1], "MIN": [[2, 1]],
+    "MAX": [[1, 2]], "SUM": [[1, 2]], "AVG": [[1, 2]], "COUNT": [[1]],
+    "UNIQUE": [[1, 1]], "FIRST": [[1]], "APPEND": [[1], 2],
+    "HAS": [{"a": 1}, "a"], "NOT_NULL": [None, 1], "TO_NUMBER": ["1.5"],
+    "TO_STRING": [1], "STARTS_WITH": ["ab", "a"], "SPLIT": ["a,b", ","],
+    "TRIM": [" a "], "REVERSE": [[1, 2]], "SLICE": [[1, 2], 1],
+    "KEYS": [{"a": 1}], "VALUES": [{"a": 1}], "MERGE": [{"a": 1}, {"b": 2}],
+    "FLATTEN": [[[1], 2]], "INTERSECTION": [[1, 2], [2]], "RANGE": [1, 3],
+    "DATE_YEAR": ["2015-01-20"], "DATE_MONTH": ["2015-01-20"],
+    "JSONPATH": [{"a": [1]}, "$.a[0]"],
+    "XPATH": [parse_xml("<inv><total>5</total></inv>"), "/inv/total/text()"],
+    "XMLGET": ["invoices", "o1"], "KVGET": ["feedback", "p1/1"],
+    "KV": ["feedback", "p1/"], "TRAVERSE": ["social", 1, 1, 2, "knows"],
+    "VERTICES": ["social"], "EDGES": ["social"],
+    "SHORTEST_PATH": ["social", 1, 2], "DOCUMENT": ["customers", 1],
+}
+
+
 class TestRegistry:
     def test_builtins_registered(self):
         for name in ("STARTS_WITH", "SPLIT", "MERGE", "RANGE", "DATE_YEAR"):
@@ -100,6 +133,22 @@ class TestRegistry:
         names = builtin_names()
         assert names == sorted(names)
         assert len(names) >= 40
+
+    def test_only_declared_bridges_touch_ctx(self):
+        """A builtin that reads ``ctx`` must be declared a bridge.
+
+        The shard planner pushes every non-bridge builtin into the shard
+        workers, where ``ctx`` is one shard's context — an undeclared
+        bridge would silently read a slice of its collection.  Every
+        builtin needs a sample call here, so a new one cannot skip it.
+        """
+        assert set(BUILTIN_SAMPLES) == set(builtin_names())
+        for name, args in BUILTIN_SAMPLES.items():
+            if is_bridge(name):
+                with pytest.raises(_CtxTouched):
+                    call_builtin(name, _UntouchableCtx(), args)
+            else:
+                call_builtin(name, _UntouchableCtx(), args)
 
 
 class TestExplain:
