@@ -1,7 +1,7 @@
 """Process-pool scatter: correctness parity always, wall-clock when it can.
 
 Regenerates the E16 table (worker-process vs thread-pool scatter on the
-amplified E10 scan mix) and gates two things:
+amplified orders scan mix) and gates two things:
 
 - **parity**, unconditionally: the experiment itself raises before any
   timing if the scan mix's results are not byte-identical across the

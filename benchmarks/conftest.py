@@ -1,15 +1,16 @@
-"""Shared state for the benchmark harness.
+"""Shared state for the two remaining pytest-benchmark gates.
 
-Every ``bench_*`` module regenerates one experiment table from DESIGN.md's
-per-experiment index and prints it (run with ``-s`` to see the tables
-inline; they are also collected into ``bench_report.txt`` in the working
-directory at the end of the session).
+``bench_e15_observability.py`` and ``bench_e16_procpool.py`` each
+regenerate one experiment table and print it (run with ``-s`` to see the
+tables inline; they are also collected into ``bench_report.txt`` in the
+working directory at the end of the session).  The repository's
+benchmark is ``python3 bench/run.py``; these two stay until it gates
+the observability overhead and the multi-core scatter floor itself.
 
 Machine-readable output: pass ``--bench-json PATH`` (or set the
 ``BENCH_JSON`` environment variable — ``1`` picks the default
 ``BENCH_RESULTS.json``) and the session also writes every recorded table
-as JSON records, so per-PR perf trajectories can be tracked by diffing
-``BENCH_*.json`` artifacts instead of scraping ASCII tables.
+as JSON records.
 """
 
 from __future__ import annotations
@@ -21,28 +22,10 @@ import subprocess
 import sys
 from datetime import datetime, timezone
 
-import pytest
-
-from repro.core.config import BenchmarkConfig
-from repro.datagen.config import GeneratorConfig
-from repro.datagen.generator import Dataset, DatasetGenerator
-from repro.datagen.load import load_dataset
-from repro.drivers.polyglot import PolyglotDriver
-from repro.drivers.unified import UnifiedDriver
-
-# The benchmark-scale configuration: larger than the test fixtures,
-# small enough that the full harness finishes in a couple of minutes.
-BENCH_CONFIG = BenchmarkConfig(
-    generator=GeneratorConfig(seed=42, scale_factor=0.1),
-    repetitions=3,
-    warmup_repetitions=1,
-    transaction_count=100,
-)
-
 _collected_tables: list[str] = []
 _collected_records: list[dict] = []
 # Wall-clock start of the harness session, stamped into the JSON
-# artifact so perf trajectories can be ordered without relying on mtime.
+# artifact so runs can be ordered without relying on mtime.
 _session_started = datetime.now(timezone.utc).isoformat()
 
 
@@ -72,25 +55,6 @@ def record_table(table) -> str:
     return rendered
 
 
-@pytest.fixture(scope="session")
-def bench_dataset() -> Dataset:
-    return DatasetGenerator(BENCH_CONFIG.generator).generate()
-
-
-@pytest.fixture(scope="session")
-def bench_unified(bench_dataset) -> UnifiedDriver:
-    driver = UnifiedDriver()
-    load_dataset(driver, bench_dataset)
-    return driver
-
-
-@pytest.fixture(scope="session")
-def bench_polyglot(bench_dataset) -> PolyglotDriver:
-    driver = PolyglotDriver()
-    load_dataset(driver, bench_dataset)
-    return driver
-
-
 def pytest_addoption(parser):
     parser.addoption(
         "--bench-json",
@@ -117,14 +81,11 @@ def pytest_sessionfinish(session, exitstatus):
             handle.write("\n\n".join(_collected_tables) + "\n")
     path = _json_path(session)
     if path and _collected_records:
-        # scale_factor is the harness default; bench modules that run at
-        # their own scales (e.g. BENCH_SHARDING_SF) record the override
-        # in their table titles.
+        # Each table title carries the scale factor it ran at.
         payload = {
             "git_sha": _git_sha(),
             "python": platform.python_version(),
             "platform": sys.platform,
-            "scale_factor": BENCH_CONFIG.generator.scale_factor,
             "started_at": _session_started,
             "tables": _collected_records,
         }

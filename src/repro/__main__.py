@@ -13,7 +13,8 @@ Usage::
                                     # replicated cluster (see --help)
 
 Core experiments come from :mod:`repro.core.experiments` (F1, E1-E6) and
-extensions from :mod:`repro.core.experiments_ext` (E7-E15, YCSB).
+extensions from :mod:`repro.core.experiments_ext` (E8, E15, E16, YCSB).
+The benchmark itself is ``python3 bench/run.py``.
 """
 
 from __future__ import annotations

@@ -33,10 +33,7 @@ the writes durable behind a PREPARE record and pins the write locks),
 one durable decision record in the coordinator log (the commit point),
 then commit-all.  Crash recovery (:meth:`ShardedDatabase.crash`)
 resolves every in-doubt participant against the coordinator log, so no
-failure schedule leaves a cross-shard transaction torn.  Constructing
-the cluster with ``two_phase_commit=False`` restores the previous
-shard-by-shard best-effort commit (the polyglot-grade baseline the
-benchmarks compare against).
+failure schedule leaves a cross-shard transaction torn.
 """
 
 from __future__ import annotations
@@ -99,7 +96,6 @@ class ShardedDatabase(Driver):
         isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
         max_retries: int = 10,
         wal_sync_every_append: bool = True,
-        two_phase_commit: bool = True,
         pool: str = "threads",
         pool_workers: int | None = None,
         replication: ReplicaSetConfig | None = None,
@@ -124,7 +120,6 @@ class ShardedDatabase(Driver):
             self.pool_workers = n_shards
         self.isolation = isolation
         self.max_retries = max_retries
-        self.two_phase_commit = two_phase_commit
         self.replication = replication
         # With replica sets under the shards, the coordinator log — the
         # commit point of every cross-shard transaction — gets its own
@@ -339,13 +334,6 @@ class ShardedDatabase(Driver):
             except TransactionAborted:
                 if session.active:
                     session.abort()
-                if session.partially_committed:
-                    # Only reachable with two_phase_commit=False: some
-                    # shard already made the writes durable, so a retry
-                    # would double-apply them.  Surface the partial
-                    # commit instead (the measured best-effort guarantee
-                    # the 2PC mode exists to remove).
-                    raise
                 if attempts > self.max_retries:
                     raise
             except BaseException:
@@ -679,10 +667,7 @@ class ShardedDatabase(Driver):
             f"shard_{i}": section for i, section in enumerate(per_shard)
         }
         counts["placement"] = self.router.describe()
-        counts["txn"] = dict(
-            self.coordinator.stats.as_dict(),
-            mode="2pc" if self.two_phase_commit else "best_effort",
-        )
+        counts["txn"] = self.coordinator.stats.as_dict()
         if self.replica_sets:
             config = self.replication
             counts["replication"] = {
@@ -816,12 +801,6 @@ class ShardedSession:
         self.trace_id: int | None = (
             obs.next_trace_id() if obs is not None and obs.tracing else None
         )
-        # True when a best-effort commit failed *after* at least one
-        # shard had already committed — the writes on those shards are
-        # durable, so the transaction must not be blindly retried.
-        # Unreachable under the 2PC commit mode: a single-shard commit
-        # has one commit point and a cross-shard one aborts atomically.
-        self.partially_committed = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -829,9 +808,7 @@ class ShardedSession:
         """Commit every touched shard.
 
         One shard wrote → that shard's ordinary atomic commit (the fast
-        path).  Several shards wrote → two-phase commit (all-or-nothing)
-        when the cluster runs in 2PC mode, shard-by-shard best effort
-        otherwise.
+        path).  Several shards wrote → two-phase commit (all-or-nothing).
         """
         self._close(commit=True)
 
@@ -845,11 +822,11 @@ class ShardedSession:
         sessions = sorted(self._sessions.items())
         try:
             writers = [(sid, s) for sid, s in sessions if not s.txn.is_read_only]
-            if commit and self.db.two_phase_commit and len(writers) > 1:
+            if commit and len(writers) > 1:
                 self._close_two_phase(sessions, writers)
             else:
                 self._close_per_shard(sessions, commit)
-                if commit and self.db.two_phase_commit and writers:
+                if commit and writers:
                     self.db.coordinator.stats.incr("fast_path_commits")
             if commit and self._token is not None:
                 # Raise the session's read-your-writes floors: a follower
@@ -865,26 +842,20 @@ class ShardedSession:
     def _close_per_shard(
         self, sessions: list[tuple[int, Session]], commit: bool
     ) -> None:
-        """Commit/abort shard by shard.
+        """Abort every shard, or commit the single-writer fast path.
 
-        This is both the single-writer fast path (at most one shard has
-        writes, so its ordinary commit is the only commit point and no
-        extra WAL records exist) and the ``two_phase_commit=False``
-        best-effort mode, where a late conflict after an earlier shard
-        committed leaves the transaction partially applied.
+        On commit at most one shard has writes, so its ordinary commit
+        is the only commit point and no extra WAL records exist.
+        Read-only shards cannot fail to commit, so a conflict never
+        leaves the transaction partially applied.
         """
         error: BaseException | None = None
-        writes_committed = 0
         for shard_id, session in sessions:
-            had_writes = not session.txn.is_read_only
             try:
                 self.db._finish_shard(shard_id, session, commit and error is None)
-                if commit and error is None and had_writes:
-                    writes_committed += 1
             except BaseException as exc:  # conflict: abort the remainder
                 error = exc
         if error is not None:
-            self.partially_committed = commit and writes_committed > 0
             raise error
 
     def _close_two_phase(
@@ -1051,7 +1022,7 @@ class ShardedSession:
             # duplicate check cannot see a same-_id doc on another shard
             # — enforce cluster-wide _id uniqueness here.  The broadcast
             # read catches already-committed duplicates early; it is
-            # *not* atomic, so under 2PC the _id is also reserved on its
+            # *not* atomic, so the _id is also reserved on its
             # hash-owner shard inside the same transaction: two
             # concurrent same-_id inserts, wherever their shard keys
             # route them, become a write-write conflict on the owner and
@@ -1062,7 +1033,7 @@ class ShardedSession:
                 raise DocumentError(
                     f"duplicate _id {doc['_id']!r} in {collection!r}"
                 )
-            if "_id" in doc and self.db.two_phase_commit:
+            if "_id" in doc:
                 owner = self.db.router.id_owner_shard(doc["_id"])
                 self._shard(owner).reserve_id(collection, doc["_id"])
         return self._route(collection, key_value).doc_insert(collection, doc)
@@ -1113,7 +1084,7 @@ class ShardedSession:
         if routed is not None:
             return routed.doc_delete(collection, doc_id)
         deleted = any(session.doc_delete(collection, doc_id) for session in self._all())
-        if deleted and self.db.two_phase_commit:
+        if deleted:
             # Custom shard key: the insert reserved this _id on its
             # owner shard — release it in the same transaction so the
             # registry tracks the live id population.

@@ -1,8 +1,8 @@
 """An in-memory B+tree.
 
-Backs :class:`repro.engine.indexes.SortedIndex` (ablation E7 compares it
-with the flat bisect list it replaced): leaves are linked for ordered
-range scans, internal nodes hold separator keys, and the fanout is a
+Backs :class:`repro.engine.indexes.BTreeIndex` (index kind ``"btree"``);
+the ``"sorted"`` kind, :class:`~repro.engine.indexes.SortedIndex`, is a
+flat bisect list.  Leaves are linked for ordered range scans, internal nodes hold separator keys, and the fanout is a
 constructor knob so tests can force deep trees.
 
 Keys must be mutually comparable; values are opaque.  Duplicate keys are

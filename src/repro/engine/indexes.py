@@ -169,9 +169,8 @@ class SortedIndex:
 class BTreeIndex:
     """Range index backed by :class:`repro.engine.btree.BPlusTree`.
 
-    Same interface as :class:`SortedIndex`; the E7 ablation compares the
-    two backends under write churn (a flat sorted list pays O(n) per
-    maintenance insert, the tree O(log n)).
+    Same interface as :class:`SortedIndex`, but maintenance costs
+    O(log n) per write where the flat sorted list pays O(n).
     """
 
     def __init__(self, name: str, extractor: Extractor, order: int = 32) -> None:

@@ -4,8 +4,10 @@ Eager migration (:func:`repro.schema.registry.migrate_collection`)
 rewrites the whole collection at evolution time; *lazy* migration tags
 each document with its schema version and applies the pending operator
 chain when the document is next read, optionally writing the upgraded
-form back (repair-on-read).  E9 measures the trade: eager pays one big
-upfront cost, lazy amortises it over reads and never touches cold data.
+form back (repair-on-read).  The trade: eager pays one big upfront
+rewrite, lazy amortises it over reads and never touches cold data
+(``tests/schema/test_migration_strategies.py`` pins which documents each
+strategy rewrites).
 
 Documents carry their version in ``_sv`` (absent = version 1).
 """

@@ -162,7 +162,8 @@ class TestTransactions:
         with pytest.raises(TransactionAborted):
             outer.commit()
         # The conflicting shard was the only writer: nothing durable.
-        assert not outer.partially_committed
+        with fresh_sharded.transaction() as s:
+            assert s.doc_get("orders", "o3")["status"] == "inner"
 
     @staticmethod
     def _two_docs_on_distinct_shards(driver) -> tuple[str, str]:
@@ -175,9 +176,9 @@ class TestTransactions:
         return by_shard[min(by_shard)], by_shard[max(by_shard)]
 
     def test_cross_shard_conflict_aborts_atomically(self, fresh_sharded):
-        """Under 2PC a late-shard conflict rolls back *every* shard: the
-        earlier shard's write must not survive (this exact schedule used
-        to leave it durably committed in the best-effort mode)."""
+        """A late-shard conflict rolls back *every* shard: the earlier
+        shard's write must not survive, although its shard sorts first
+        and a shard-by-shard commit would already have made it durable."""
         low_doc, high_doc = self._two_docs_on_distinct_shards(fresh_sharded)
         outer = fresh_sharded.begin()
         outer.doc_update("orders", low_doc, {"status": "outer"})
@@ -187,7 +188,6 @@ class TestTransactions:
         interloper.commit()
         with pytest.raises(TransactionAborted):
             outer.commit()
-        assert not outer.partially_committed  # unreachable under 2PC
         with fresh_sharded.transaction() as s:
             assert s.doc_get("orders", low_doc)["status"] != "outer"
             assert s.doc_get("orders", high_doc)["status"] == "interloper"
@@ -213,37 +213,6 @@ class TestTransactions:
         with fresh_sharded.transaction() as s:
             assert s.doc_get("orders", low_doc)["status"] == "attempt2"
             assert s.doc_get("orders", high_doc)["status"] == "attempt2"
-
-    def test_best_effort_mode_partial_commit_is_not_retried(self, small_dataset):
-        """two_phase_commit=False keeps the old polyglot-grade contract:
-        if one shard commits and a later shard conflicts, the committed
-        writes are durable and run_transaction must surface the partial
-        commit instead of re-running the body (double-apply hazard)."""
-        driver = ShardedDatabase(n_shards=3, two_phase_commit=False)
-        load_dataset(driver, small_dataset)
-        try:
-            low_doc, high_doc = self._two_docs_on_distinct_shards(driver)
-            attempts = 0
-
-            def body(s):
-                nonlocal attempts
-                attempts += 1
-                s.doc_update("orders", low_doc, {"status": f"attempt{attempts}"})
-                s.doc_update("orders", high_doc, {"status": f"attempt{attempts}"})
-                interloper = driver.begin()
-                interloper.doc_update("orders", high_doc, {"status": "interloper"})
-                interloper.commit()
-
-            with pytest.raises(TransactionAborted):
-                driver.run_transaction(body)
-            assert attempts == 1  # no blind retry after the partial commit
-            with driver.transaction() as s:
-                # Documented best-effort outcome: first shard's write
-                # stuck, the conflicted shard kept the interloper's.
-                assert s.doc_get("orders", low_doc)["status"] == "attempt1"
-                assert s.doc_get("orders", high_doc)["status"] == "interloper"
-        finally:
-            driver.close()
 
 
 class TestCustomPolicies:

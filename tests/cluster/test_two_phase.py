@@ -2,8 +2,9 @@
 
 The crash matrix lives in ``tests/txn/test_crash_matrix.py``; this file
 covers the commit-protocol surface visible to cluster users: the
-single-writer fast path must stay byte-identical to the pre-2PC commit,
-the duplicate-``_id`` race across shards must be gone, and the
+single-writer fast path must log exactly what a standalone engine logs,
+a cross-shard commit must pay a bounded number of protocol records, the
+duplicate-``_id`` race across shards must be gone, and the
 ``stats()['txn']`` counters must tell the story.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.sharded import ShardedDatabase
+from repro.engine.database import MultiModelDatabase
 from repro.errors import TransactionAborted
 
 
@@ -28,22 +30,24 @@ def _wal_types(db: ShardedDatabase, shard_id: int) -> list[str]:
 
 class TestFastPath:
     def test_single_writer_commit_emits_zero_extra_wal_records(self):
-        """Byte-identical fast path: the 2PC mode must add nothing —
-        not one record — to a single-shard commit's WAL trace."""
-        two_pc = _fresh(two_phase_commit=True)
-        legacy = _fresh(two_phase_commit=False)
-        for db in (two_pc, legacy):
-            with db.transaction() as s:
+        """The owning shard logs exactly what a standalone engine logs
+        for the same two transactions: 2PC adds not one record to a
+        single-shard commit, and the coordinator never engages."""
+        db = _fresh()
+        standalone = MultiModelDatabase()
+        standalone.create_collection("orders")
+        standalone.create_kv_namespace("feedback")
+        for engine in (db, standalone):
+            with engine.transaction() as s:
                 s.doc_insert("orders", {"_id": "o1", "status": "new"})
-            with db.transaction() as s:
+            with engine.transaction() as s:
                 s.doc_update("orders", "o1", {"status": "shipped"})
-        shard_id = two_pc.router.shard_for("orders", "o1")
-        assert _wal_types(two_pc, shard_id) == _wal_types(legacy, shard_id)
-        assert "prepare" not in _wal_types(two_pc, shard_id)
-        assert "decision" not in _wal_types(two_pc, shard_id)
-        assert len(two_pc.coordinator_log) == 0  # coordinator never engaged
-        two_pc.close()
-        legacy.close()
+        shard_id = db.router.shard_for("orders", "o1")
+        expected = [rec["type"] for rec in standalone.wal.records()]
+        assert "commit" in expected
+        assert _wal_types(db, shard_id) == expected
+        assert len(db.coordinator_log) == 0
+        db.close()
 
     def test_single_writer_with_cross_shard_reads_stays_fast(self):
         db = _fresh()
@@ -92,6 +96,29 @@ class TestCrossShardCommit:
         assert txn["prepares"] == 2
         db.close()
 
+    def test_cross_shard_protocol_cost_is_bounded(self):
+        """Span 2: per participant begin + write + prepare + decision,
+        and two coordinator records (the decision and its end marker)."""
+        db = _fresh()
+        targets: dict[int, str] = {}
+        for i in range(100):
+            targets.setdefault(db.router.shard_for("orders", f"o{i}"), f"o{i}")
+        with db.transaction() as s:
+            for doc_id in targets.values():
+                s.doc_insert("orders", {"_id": doc_id, "v": 0})
+        pair = sorted(targets)[:2]
+        wal_before = [len(db.shards[i].wal) for i in pair]
+        coord_before = db.coordinator_log.appends
+        with db.transaction() as s:
+            for shard_id in pair:
+                s.doc_update("orders", targets[shard_id], {"v": 1})
+        for shard_id, before in zip(pair, wal_before):
+            assert _wal_types(db, shard_id)[before:] == [
+                "begin", "write", "prepare", "decision"
+            ]
+        assert db.coordinator_log.appends - coord_before == 2
+        db.close()
+
     def test_abort_in_prepare_counted(self):
         db = _fresh()
         with db.transaction() as s:
@@ -135,26 +162,6 @@ class TestDuplicateIdReservation:
             docs = [d for d in s.doc_scan("orders") if d["_id"] == "dup"]
         assert len(docs) == 1
         assert docs[0]["customer_id"] == c1
-        db.close()
-
-    def test_best_effort_mode_still_has_the_race(self):
-        """Documents what two_phase_commit=False cannot fix — and that
-        the regression scenario is real: both inserts used to commit."""
-        db = ShardedDatabase(
-            n_shards=4, shard_keys={"orders": "customer_id"},
-            two_phase_commit=False,
-        )
-        db.create_collection("orders")
-        c1, c2 = self._distinct_customer_shards(db)
-        s1 = db.begin()
-        s2 = db.begin()
-        s1.doc_insert("orders", {"_id": "dup", "customer_id": c1})
-        s2.doc_insert("orders", {"_id": "dup", "customer_id": c2})
-        s1.commit()
-        s2.commit()  # the bug: no conflict is ever detected
-        with db.transaction() as s:
-            docs = [d for d in s.doc_scan("orders") if d["_id"] == "dup"]
-        assert len(docs) == 2  # duplicate _id durably committed twice
         db.close()
 
     def test_sequential_duplicate_still_rejected_early(self):

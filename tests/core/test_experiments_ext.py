@@ -1,46 +1,10 @@
-"""Extension experiments E7-E9 and the YCSB baseline: shapes hold."""
+"""Extension experiments E8, E15 and the YCSB baseline: shapes hold."""
 
 from repro.core.experiments_ext import (
     EXTENSION_EXPERIMENTS,
-    experiment_e7_index_backends,
     experiment_e8_sessions,
-    experiment_e9_migration_strategies,
-    experiment_e12_commit,
-    experiment_e13_compile,
     experiment_ycsb,
 )
-
-
-class TestE7:
-    def test_all_backends_reported(self):
-        table = experiment_e7_index_backends(sizes=[500], churn=300)
-        backends = {r["backend"] for r in table.to_records()}
-        assert backends == {"hash", "sorted-list", "btree"}
-
-    def test_hash_has_no_range(self):
-        table = experiment_e7_index_backends(sizes=[500], churn=300)
-        hash_row = next(r for r in table.to_records() if r["backend"] == "hash")
-        assert hash_row["supports_range"] is False
-
-    def test_hash_maintenance_cheapest(self):
-        table = experiment_e7_index_backends(sizes=[2000], churn=500)
-        rows = {r["backend"]: r for r in table.to_records()}
-        assert rows["hash"]["churn_ms"] < rows["sorted-list"]["churn_ms"]
-        assert rows["hash"]["churn_ms"] < rows["btree"]["churn_ms"]
-
-    def test_btree_churn_scales_better_than_list(self):
-        table = experiment_e7_index_backends(sizes=[1000, 20000], churn=1000)
-        records = table.to_records()
-
-        def churn(backend, n):
-            return next(
-                r["churn_ms"] for r in records
-                if r["backend"] == backend and r["records"] == n
-            )
-
-        list_growth = churn("sorted-list", 20000) / max(churn("sorted-list", 1000), 1e-9)
-        tree_growth = churn("btree", 20000) / max(churn("btree", 1000), 1e-9)
-        assert tree_growth < list_growth
 
 
 class TestE8:
@@ -57,60 +21,12 @@ class TestE8:
         assert row["fallback@2xlag"] == 0.0
 
 
-class TestE9:
-    def test_strategy_shapes(self):
-        table = experiment_e9_migration_strategies(scale_factor=0.05, reads=60)
-        rows = {r["strategy"]: r for r in table.to_records()}
-        eager = rows["eager"]
-        repair = rows["lazy+repair"]
-        no_repair = rows["lazy_no_repair"]
-        # Eager pays everything upfront; lazy strategies pay nothing upfront.
-        assert eager["upfront_ms"] > 0
-        assert repair["upfront_ms"] == 0 and no_repair["upfront_ms"] == 0
-        # Eager rewrote the whole collection; repair only what was read
-        # (the per-read timing contrast is asserted at benchmark scale in
-        # benchmarks/bench_ext_ablations.py — wall-clock comparisons at
-        # this tiny scale are noise).
-        assert eager["docs_rewritten"] >= repair["docs_rewritten"]
-        assert repair["docs_rewritten"] > 0
-        assert no_repair["docs_rewritten"] == 0
-
-
 class TestYcsbExperiment:
     def test_all_six_workloads(self):
         table = experiment_ycsb(record_count=150, operations=60)
         assert [r["workload"] for r in table.to_records()] == list("ABCDEF")
         assert all(r["unified"] > 0 for r in table.to_records())
         assert all(r["polyglot"] > 0 for r in table.to_records())
-
-
-class TestE12:
-    def test_commit_table_shape_and_fast_path_parity(self):
-        table = experiment_e12_commit(n_docs=60, transactions=5)
-        by_span = {r["span_shards"]: r for r in table.to_records()}
-        assert sorted(by_span) == [1, 2, 4]
-        # Fast path: zero extra records, coordinator idle.
-        assert by_span[1]["wal_recs_2pc"] == by_span[1]["wal_recs_best"]
-        assert by_span[1]["coord_recs_2pc"] == 0
-        # Cross-shard spans pay the prepare/decision records.
-        assert by_span[2]["wal_recs_2pc"] > by_span[2]["wal_recs_best"]
-        assert by_span[2]["coord_recs_2pc"] == 2
-
-
-class TestE13:
-    def test_compile_table_shape_and_parity(self):
-        table = experiment_e13_compile(
-            scale_factor=0.02, repetitions=2, eval_rows=2000, plan_hits=200
-        )
-        cases = [r["case"] for r in table.to_records()]
-        assert len(cases) == 2
-        assert cases[0].startswith("expr_eval")
-        assert cases[1].startswith("plan cold vs cached")
-        # Wall-clock ratios are asserted at benchmark scale (the CI perf
-        # smoke in benchmarks/bench_e13_compile.py); here only the shape
-        # and the experiment's internal value-parity check matter.
-        assert all(r["baseline_ms"] > 0 for r in table.to_records())
-        assert all(r["optimized_ms"] > 0 for r in table.to_records())
 
 
 class TestE15:
@@ -130,7 +46,4 @@ class TestE15:
 
 class TestRegistry:
     def test_extension_registry(self):
-        assert set(EXTENSION_EXPERIMENTS) == {
-            "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E15",
-            "E16", "E17", "YCSB",
-        }
+        assert set(EXTENSION_EXPERIMENTS) == {"E8", "E15", "E16", "YCSB"}

@@ -91,7 +91,6 @@ class TestCrashMatrix:
                 session.doc_update("orders", doc_id, {"status": "updated"})
             with pytest.raises(SimulatedCrash):
                 session.commit()
-            assert not session.partially_committed, label
             recovered = db.crash()
             try:
                 statuses = _statuses(recovered, targets)
